@@ -11,17 +11,16 @@
 ///  * naive    — triple loop (reference),
 ///  * blocked  — cache-blocked 4x4 micro-kernel, no packing (the seed
 ///               kernel, kept as baseline),
-///  * packed   — BLIS-style packed panels + 8x4 micro-kernel (AVX2/FMA
-///               or scalar by runtime dispatch; see gemm_kernel_name()).
+///  * packed   — BLIS-style packed panels + the active ISA's micro-kernel
+///               (runtime dispatch; see gemm_kernel_name()).
 ///
 /// The sweep covers the tile extents a physics tiling actually produces
-/// (~32-512), plus a skewed-shape fixed-vs-autotuned comparison (the
-/// micro-kernel zoo's selling point: geometry choice matters most off the
-/// square diagonal) and a batched-vs-per-call comparison on a realistic
-/// mixed-extent group sharing one B tile. Results land in
-/// BENCH_gemm_peak.json so the bench trajectory records every run,
-/// including the autotuner's benchmark count (zero on a warm tuning
-/// cache — the CI persistence smoke greps for it).
+/// (~32-512), then every ISA kernel this host can run at the same shapes
+/// (one kernel per ISA), and a realistic mixed-extent group sharing one
+/// B tile three ways: per-call, batched (packs inside the call) and
+/// pre-packed (the executor's in-task path, operands staged as panels).
+/// Results land in BENCH_gemm_peak.json so the bench trajectory records
+/// every run.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,7 +30,6 @@
 #include "machine/machine.hpp"
 #include "support/format.hpp"
 #include "support/timer.hpp"
-#include "tile/autotune.hpp"
 #include "tile/gemm.hpp"
 #include "tile/microkernel.hpp"
 
@@ -58,11 +56,10 @@ struct SweepPoint {
   double packed = 0.0;
 };
 
-struct SkewPoint {
-  Index m = 0, k = 0, n = 0;
-  double fixed = 0.0;  ///< default 8x4 kernel pinned
-  double tuned = 0.0;  ///< autotuner's per-bucket choice
-  std::string winner;  ///< the kernel the autotuner picked
+struct IsaPoint {
+  std::string kernel;
+  Index n = 0;
+  double flops = 0.0;
 };
 
 }  // namespace
@@ -125,57 +122,27 @@ int main() {
   std::printf("256^3 packed/blocked speedup: %.2fx\n",
               p256->packed / p256->blocked);
 
-  // --- Skewed shapes: fixed default geometry vs the autotuner's choice.
-  // Block-sparse physics tilings produce flat and tall tile products
-  // where the default 8x4 register tile wastes fringe work; the zoo's
-  // other geometries recover it. The tuned column must be >= fixed within
-  // noise by construction (the autotuner benchmarks the default too).
-  const bool tuning = Autotuner::instance().enabled();
-  std::printf("\nskewed-shape sweep: fixed %s vs autotuned (%s):\n",
-              default_microkernel().name.c_str(),
-              tuning ? "on" : "off — BSTC_TUNE=off");
-  std::printf("  %16s  %12s  %12s  %8s  %s\n", "m x k x n", "fixed", "tuned",
-              "ratio", "winner");
-  std::vector<SkewPoint> skew;
-  const Index skew_shapes[][3] = {{24, 256, 256}, {256, 256, 24},
-                                  {12, 384, 384}, {384, 24, 384},
-                                  {48, 48, 384},  {384, 384, 48},
-                                  {128, 128, 128}};
-  for (const auto& s : skew_shapes) {
-    const Index m = s[0], k = s[1], n = s[2];
-    Tile a(m, k), b(k, n), c(m, n);
-    a.fill_random(rng);
-    b.fill_random(rng);
-    const double flops = gemm_flops(a, b);
-    SkewPoint pt;
-    pt.m = m;
-    pt.k = k;
-    pt.n = n;
-    const MicroKernel& fixed = default_microkernel();
-    gemm_view_with(fixed, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(),
-                   0.0, c.data(), c.ld());
-    pt.fixed = best_flops(10, flops, [&] {
-      gemm_view_with(fixed, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(),
-                     0.0, c.data(), c.ld());
-    });
-    const MicroKernel& chosen = select_microkernel(m, k, n);
-    pt.winner = chosen.name;
-    gemm(1.0, a, b, 0.0, c);
-    pt.tuned = best_flops(10, flops, [&] { gemm(1.0, a, b, 0.0, c); });
-    skew.push_back(pt);
-    char shape[32];
-    std::snprintf(shape, sizeof shape, "%lldx%lldx%lld",
-                  static_cast<long long>(m), static_cast<long long>(k),
-                  static_cast<long long>(n));
-    std::printf("  %16s  %12s  %12s  %7.2fx  %s\n", shape,
-                fmt_flops(pt.fixed).c_str(), fmt_flops(pt.tuned).c_str(),
-                pt.tuned / pt.fixed, pt.winner.c_str());
+  // --- One kernel per ISA: every kernel this host can execute, at the
+  // tile extents the executor stages. ---
+  std::printf("\nper-ISA kernels (best of 10):\n");
+  std::vector<IsaPoint> isa_points;
+  for (const MicroKernel& mk : microkernels()) {
+    if (mk.isa > host_best_isa()) continue;  // not executable here
+    for (const Index n : {Index{64}, Index{128}, Index{256}}) {
+      Tile a(n, n), b(n, n), c(n, n);
+      a.fill_random(rng);
+      b.fill_random(rng);
+      const auto run = [&] {
+        gemm_view_with(mk, n, n, n, 1.0, a.data(), a.ld(), b.data(), b.ld(),
+                       0.0, c.data(), c.ld());
+      };
+      run();
+      isa_points.push_back({mk.name, n, best_flops(10, gemm_flops(a, b), run)});
+      std::printf("  %-14s %4lld^3  %12s\n", mk.name.c_str(),
+                  static_cast<long long>(n),
+                  fmt_flops(isa_points.back().flops).c_str());
+    }
   }
-  const TuneStats tune = Autotuner::instance().stats();
-  std::printf("tune stats: %llu lookups, %llu hits, %llu benchmarks\n",
-              static_cast<unsigned long long>(tune.lookups),
-              static_cast<unsigned long long>(tune.hits),
-              static_cast<unsigned long long>(tune.benchmarks));
 
   // --- Batched vs per-call on a realistic mixed-extent group: every item
   // shares one B tile, as the executor's (chunk, B tile) batches do. ---
@@ -207,15 +174,32 @@ int main() {
   });
   const double batched = best_flops(
       10, batch_flops, [&] { gemm_batch(1.0, items, bshared, 0.0); });
+  // Pre-packed: the operands staged once as panels, as the executor's
+  // load/chunkload tasks do; the timed call copies nothing.
+  const KernelGeometry& g = active_microkernel().geom;
+  std::vector<double> bpanels(packed_b_doubles(bk, bn, g.nr));
+  pack_b_panels(bk, bn, bshared.data(), bshared.ld(), bpanels.data(), g.nr);
+  std::vector<std::vector<double>> apanels;
+  std::vector<PackedGemmItem> packed_items;
+  for (std::size_t t = 0; t < mix.size(); ++t) {
+    apanels.emplace_back(packed_a_doubles(mix[t], bk, g.mr));
+    pack_a_panels(mix[t], bk, as[t].data(), as[t].ld(),
+                  apanels.back().data(), g.mr);
+    packed_items.push_back(
+        {apanels.back().data(), mix[t], cs[t].data(), cs[t].ld()});
+  }
+  const double prepacked = best_flops(10, batch_flops, [&] {
+    gemm_batch_packed(1.0, packed_items, bpanels.data(), bk, bn);
+  });
   std::printf(
       "shared-B batch (%zu tiles, m in [%lld,%lld], k=%lld, n=%lld): "
-      "per-call %s, batched %s (%.2fx)\n",
+      "per-call %s, batched %s (%.2fx), pre-packed %s (%.2fx)\n",
       items.size(),
       static_cast<long long>(*std::min_element(mix.begin(), mix.end())),
       static_cast<long long>(*std::max_element(mix.begin(), mix.end())),
       static_cast<long long>(bk), static_cast<long long>(bn),
       fmt_flops(per_call).c_str(), fmt_flops(batched).c_str(),
-      batched / per_call);
+      batched / per_call, fmt_flops(prepacked).c_str(), prepacked / per_call);
 
   // --- Bench trajectory record. ---
   std::FILE* out = std::fopen("BENCH_gemm_peak.json", "w");
@@ -233,30 +217,24 @@ int main() {
                    s + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"tune_enabled\": %s,\n", tuning ? "true" : "false");
-    std::fprintf(out, "  \"tune_lookups\": %llu,\n",
-                 static_cast<unsigned long long>(tune.lookups));
-    std::fprintf(out, "  \"tune_benchmarks\": %llu,\n",
-                 static_cast<unsigned long long>(tune.benchmarks));
-    std::fprintf(out, "  \"skew\": [\n");
-    for (std::size_t s = 0; s < skew.size(); ++s) {
-      std::fprintf(out,
-                   "    {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
-                   "\"fixed_flops\": %.6e, \"tuned_flops\": %.6e, "
-                   "\"winner\": \"%s\"}%s\n",
-                   static_cast<long long>(skew[s].m),
-                   static_cast<long long>(skew[s].k),
-                   static_cast<long long>(skew[s].n), skew[s].fixed,
-                   skew[s].tuned, skew[s].winner.c_str(),
-                   s + 1 < skew.size() ? "," : "");
+    std::fprintf(out, "  \"isa_kernels\": [\n");
+    for (std::size_t s = 0; s < isa_points.size(); ++s) {
+      std::fprintf(out, "    {\"kernel\": \"%s\", \"n\": %lld, "
+                   "\"flops\": %.6e}%s\n",
+                   isa_points[s].kernel.c_str(),
+                   static_cast<long long>(isa_points[s].n),
+                   isa_points[s].flops,
+                   s + 1 < isa_points.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
     std::fprintf(out, "  \"speedup_256_packed_vs_blocked\": %.4f,\n",
                  p256->packed / p256->blocked);
     std::fprintf(out,
                  "  \"batch\": {\"tiles\": %zu, \"per_call_flops\": %.6e, "
-                 "\"batched_flops\": %.6e, \"speedup\": %.4f}\n",
-                 items.size(), per_call, batched, batched / per_call);
+                 "\"batched_flops\": %.6e, \"prepacked_flops\": %.6e, "
+                 "\"speedup\": %.4f}\n",
+                 items.size(), per_call, batched, prepacked,
+                 batched / per_call);
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote BENCH_gemm_peak.json\n");

@@ -1,9 +1,13 @@
 #include "core/engine.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,13 +29,131 @@ std::uint64_t tile_key(std::uint32_t a, std::uint32_t b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-/// Device-resident data of one block while it is being processed.
-struct BlockResidence {
-  std::unordered_map<std::uint64_t, Tile> b;  ///< key (k, j)
-  std::unordered_map<std::uint64_t, Tile> c;  ///< key (i, j)
-  std::unordered_map<std::uint64_t, Tile> a;  ///< key (i, k)
-  std::mutex mutex;  ///< guards the maps (CPU staging vs device tasks)
+/// Doubles rounded up to a whole 64-byte line, so every region of an
+/// arena starts cache-line aligned.
+std::size_t line_doubles(std::size_t doubles) {
+  return (doubles + 7) & ~std::size_t{7};
+}
+
+/// Returns a mapping made by StageArena::allocate to the OS.
+struct Unmap {
+  std::size_t bytes = 0;
+  void operator()(double* p) const { ::munmap(p, bytes); }
 };
+
+/// One device's stage arena for one contract() call — the device memory
+/// pool of the paper's §3.2.2–3.2.3. A B region holds the current block's
+/// B tiles packed as NR panels and is reused block after block; `slots`
+/// A regions each hold one chunk's A tiles packed as MR panels, chunk ci
+/// of a block landing in slot ci % depth. Every size and offset is fixed
+/// from the plan before the graph is built, and the memory is allocated
+/// untouched, so pages fault in only where panels actually land.
+struct StageArena {
+  std::size_t b_doubles = 0;     ///< largest block's B panels
+  std::size_t slot_doubles = 0;  ///< largest chunk's A panels
+  std::size_t slots = 0;         ///< max over blocks of min(depth, chunks)
+
+  std::unique_ptr<double, Unmap> mem;
+
+  std::size_t bytes() const {
+    return (b_doubles + slots * slot_doubles) * sizeof(double);
+  }
+
+  /// Maps the arena straight from the OS: page-aligned, untouched until a
+  /// panel lands, and returned whole when the call ends, so a staging
+  /// pool never lingers in (or fragments) the allocator's heap.
+  void allocate() {
+    if (bytes() == 0) return;
+    void* p = ::mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    BSTC_REQUIRE(p != MAP_FAILED, "stage arena allocation failed");
+    mem = std::unique_ptr<double, Unmap>(static_cast<double*>(p),
+                                         Unmap{bytes()});
+  }
+  double* b_region() const { return mem.get(); }
+  double* slot(std::size_t s) const {
+    return mem.get() + b_doubles + s * slot_doubles;
+  }
+};
+
+/// Panel layout of one block inside its device's arena, fixed when the
+/// graph is built.
+struct BlockLayout {
+  int depth = 1;  ///< A chunks resident at once (block_prefetch_depth)
+  std::unordered_map<std::uint64_t, std::size_t> b_offset;  ///< (k, j)
+  /// Per chunk, the offset of each A tile (parallel to chunk.a_tiles)
+  /// within the chunk's slot.
+  std::vector<std::vector<std::size_t>> a_offset;
+};
+
+/// Device-resident C of one block: one slot per C tile the block's
+/// pieces stage, created empty when the graph is built (so tasks hold
+/// stable pointers) and allocated by the first load staging its column.
+struct BlockResidence {
+  std::vector<std::pair<std::uint64_t, Tile>> c;  ///< (key (i, j), tile)
+};
+
+/// Every device's arena size and every block's panel layout for `plan`
+/// (blocks of `local_rank` only when it is >= 0). Panels use the active
+/// kernel's register tile, so gemmbatch tasks run the pre-packed entry on
+/// exactly what load/chunkload staged.
+struct StageLayout {
+  std::vector<StageArena> arenas;  ///< per device, flattened in queue order
+  std::vector<std::vector<BlockLayout>> blocks;  ///< [node][block]
+};
+
+StageLayout layout_stage(const ExecutionPlan& plan, const Shape& a_shape,
+                         const Shape& b_shape, double gpu_memory_bytes,
+                         int local_rank) {
+  const KernelGeometry& geom = active_microkernel().geom;
+  const Tiling& a_rows = a_shape.row_tiling();
+  const Tiling& a_cols = a_shape.col_tiling();
+  const Tiling& b_cols = b_shape.col_tiling();
+  StageLayout out;
+  out.blocks.resize(plan.nodes.size());
+  std::size_t first_device = 0;
+  for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
+    const std::size_t gpus = static_cast<std::size_t>(plan.gpus_of_node[n]);
+    out.arenas.resize(first_device + gpus);
+    if (local_rank >= 0 && n != static_cast<std::size_t>(local_rank)) {
+      first_device += gpus;
+      continue;
+    }
+    const NodePlan& node_plan = plan.nodes[n];
+    out.blocks[n].resize(node_plan.blocks.size());
+    for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
+      const BlockPlan& block = node_plan.blocks[bi];
+      BlockLayout& layout = out.blocks[n][bi];
+      StageArena& arena = out.arenas[first_device + block.gpu];
+      layout.depth = block_prefetch_depth(plan, block, gpu_memory_bytes);
+      std::size_t b_end = 0;
+      for (const ColumnPiece& piece : block.pieces) {
+        for (const std::uint32_t k : piece.ks) {
+          layout.b_offset.emplace(tile_key(k, piece.col), b_end);
+          b_end += line_doubles(packed_b_doubles(
+              a_cols.tile_extent(k), b_cols.tile_extent(piece.col), geom.nr));
+        }
+      }
+      arena.b_doubles = std::max(arena.b_doubles, b_end);
+      layout.a_offset.resize(block.chunks.size());
+      for (std::size_t ci = 0; ci < block.chunks.size(); ++ci) {
+        std::size_t a_end = 0;
+        for (const auto& [i, k] : block.chunks[ci].a_tiles) {
+          layout.a_offset[ci].push_back(a_end);
+          a_end += packed_a_doubles(a_rows.tile_extent(i),
+                                    a_cols.tile_extent(k), geom.mr);
+        }
+        arena.slot_doubles =
+            std::max(arena.slot_doubles, line_doubles(a_end));
+      }
+      arena.slots = std::max(
+          arena.slots, std::min(static_cast<std::size_t>(layout.depth),
+                                block.chunks.size()));
+    }
+    first_device += gpus;
+  }
+  return out;
+}
 
 /// Host-side state of one simulated rank.
 struct NodeState {
@@ -68,6 +190,9 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                      c_init->col_tiling() == b_shape.col_tiling(),
                  "C init tilings must match the product");
   }
+
+  // An unexecutable plan fails here, before any tile is generated.
+  require_executable(plan, machine.node.gpu.memory_bytes);
 
   Timer timer;
   const int num_nodes = plan.grid.nodes();
@@ -130,8 +255,6 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   CommRecorder comm(num_nodes);
-  const double chunk_capacity =
-      plan.config.chunk_mem_fraction * machine.node.gpu.memory_bytes;
 
   // Distributed single-rank mode: build and run only local_rank's share
   // of the DAG against an external (network) transport.
@@ -188,6 +311,20 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     }
   }
 
+  // --- Stage layout: every panel offset, fixed before any task exists. ---
+  const KernelGeometry& geom = active_microkernel().geom;
+  const Tiling& a_rows = a.shape().row_tiling();
+  const Tiling& a_cols = a.shape().col_tiling();
+  const Tiling& b_cols = b_shape.col_tiling();
+  StageLayout stage = layout_stage(plan, a.shape(), b_shape,
+                                   machine.node.gpu.memory_bytes,
+                                   cfg.local_rank);
+  for (StageArena& arena : stage.arenas) arena.allocate();
+  auto arena_of = [&](int node, std::uint32_t gpu) -> const StageArena& {
+    return stage.arenas[device_queue(node, gpu) -
+                        static_cast<std::uint32_t>(num_nodes)];
+  };
+
   // Residences, pre-sized so tasks can hold stable pointers.
   std::vector<std::vector<BlockResidence>> residences(
       static_cast<std::size_t>(num_nodes));
@@ -196,6 +333,10 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
         std::vector<BlockResidence>(plan.nodes[static_cast<std::size_t>(n)]
                                         .blocks.size());
   }
+
+  // What the staging and GEMM tasks will move and compute, tallied as the
+  // graph is built and published to the registry after a successful run.
+  double stage_packed_bytes = 0.0, stage_pad_bytes = 0.0, gemm_flops = 0.0;
 
   TaskGraph graph;
 
@@ -227,31 +368,40 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     // Per GPU: the previous block's store task (for sequential-block
     // control edges).
     std::unordered_map<std::uint32_t, TaskId> prev_store_of_gpu;
+    std::vector<TaskId> store_of_block;
+    // Per B column: the blocks holding a piece of it, ascending — the
+    // blocks whose C partials of that column meet in c_store.
+    std::map<std::uint32_t, std::vector<std::size_t>> blocks_of_column;
 
     for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
       const BlockPlan& block = node_plan.blocks[bi];
+      const BlockLayout& layout =
+          stage.blocks[static_cast<std::size_t>(n)][bi];
       BlockResidence& res = residences[static_cast<std::size_t>(n)][bi];
       DeviceMemory& dev = device_of(n, block.gpu);
+      const StageArena& arena = arena_of(n, block.gpu);
       const std::uint32_t dq = device_queue(n, block.gpu);
+      const int prefetch_depth = layout.depth;
 
-      // How much device memory the block leaves for A chunks decides the
-      // prefetch depth (2 = paper's 25% + 25% scheme).
-      const double spare =
-          machine.node.gpu.memory_bytes - block.bytes;
-      double max_chunk_bytes = 0.0;
-      for (const Chunk& chunk : block.chunks) {
-        max_chunk_bytes = std::max(max_chunk_bytes, chunk.a_bytes);
+      // C slots of every column the block stages: the slice rows' nonzero
+      // tiles, one slot per tile even when pieces share a column.
+      std::unordered_map<std::uint64_t, std::size_t> c_slot;
+      std::vector<std::vector<std::size_t>> piece_c_slots(block.pieces.size());
+      for (std::size_t pi = 0; pi < block.pieces.size(); ++pi) {
+        const std::uint32_t col = block.pieces[pi].col;
+        auto& bl = blocks_of_column[col];
+        if (bl.empty() || bl.back() != bi) bl.push_back(bi);
+        for (std::size_t i = static_cast<std::size_t>(node_plan.grid_row);
+             i < c_shape.tile_rows();
+             i += static_cast<std::size_t>(plan.grid.p)) {
+          if (!c_shape.nonzero(i, col)) continue;
+          const std::uint64_t key =
+              tile_key(static_cast<std::uint32_t>(i), col);
+          const auto [it, inserted] = c_slot.emplace(key, res.c.size());
+          if (inserted) res.c.emplace_back(key, Tile());
+          piece_c_slots[pi].push_back(it->second);
+        }
       }
-      BSTC_REQUIRE(spare >= max_chunk_bytes,
-                   "block footprint leaves no room for any A chunk; the "
-                   "tiling is too coarse for this GPU memory");
-      const int prefetch_depth =
-          max_chunk_bytes > 0.0
-              ? std::max(1, std::min(plan.config.prefetch_depth,
-                                     static_cast<int>(spare /
-                                                      max_chunk_bytes)))
-              : 1;
-      (void)chunk_capacity;
 
       // --- Piece tasks: generate on CPU, then stage on the device. ---
       std::vector<TaskId> piece_loads;
@@ -270,37 +420,55 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                 }
               }
             });
+        // Staging targets: each B tile's panels in the arena's B region,
+        // and the column's C slots.
+        std::vector<double*> b_dst;
+        for (const std::uint32_t k : piece.ks) {
+          b_dst.push_back(arena.b_region() +
+                          layout.b_offset.at(tile_key(k, piece.col)));
+          const Index rows = a_cols.tile_extent(k);
+          const Index cols = b_cols.tile_extent(piece.col);
+          const double panel = static_cast<double>(
+              packed_b_doubles(rows, cols, geom.nr) * sizeof(double));
+          stage_packed_bytes += panel;
+          stage_pad_bytes += panel - 8.0 * static_cast<double>(rows * cols);
+        }
+        std::vector<std::pair<std::uint64_t, Tile>*> c_tiles;
+        for (const std::size_t slot : piece_c_slots[pi]) {
+          c_tiles.push_back(&res.c[slot]);
+        }
         const TaskId load = graph.add_task(
             "load(n" + std::to_string(n) + ",b" + std::to_string(bi) + ",p" +
                 std::to_string(pi) + ")",
             dq,
-            [&ns, &res, &dev, &piece, &c_shape, n, &plan, persistent_b] {
+            [&ns, &dev, &piece, &c_shape, &a_cols, &b_cols, nr = geom.nr,
+             persistent_b,
+             b_dst = std::move(b_dst), c_tiles = std::move(c_tiles)] {
               dev.allocate(static_cast<std::size_t>(piece.bytes()));
-              std::lock_guard lock(res.mutex);
-              for (const std::uint32_t k : piece.ks) {
+              for (std::size_t t = 0; t < piece.ks.size(); ++t) {
+                const std::uint32_t k = piece.ks[t];
                 const Tile& host = ns.b->acquire(k, piece.col);
-                res.b.emplace(tile_key(k, piece.col), host);  // h2d copy
+                BSTC_REQUIRE(host.rows() == a_cols.tile_extent(k) &&
+                                 host.cols() == b_cols.tile_extent(piece.col),
+                             "B tile extents disagree with the B shape");
+                // The h2d copy is the pack: B lands as NR panels.
+                pack_b_panels(host.rows(), host.cols(), host.data(), host.ld(),
+                              b_dst[t], nr);
                 ns.b->release(k, piece.col);  // matching pin from acquire
                 // Non-session mode: drop the gen task's pin too, so the
                 // host copy is discarded as soon as it is staged. Session
                 // mode took no gen pin (persistent acquisition).
                 if (!persistent_b) ns.b->release(k, piece.col);
               }
-              // Stage C tiles of this column for the slice rows
-              // (zero-initialised; any initial C is added at assembly).
-              const int p = plan.grid.p;
-              for (std::size_t i = static_cast<std::size_t>(
-                       plan.nodes[static_cast<std::size_t>(n)].grid_row);
-                   i < c_shape.tile_rows(); i += static_cast<std::size_t>(p)) {
-                if (!c_shape.nonzero(i, piece.col)) continue;
-                const std::uint64_t key =
-                    tile_key(static_cast<std::uint32_t>(i), piece.col);
-                if (res.c.find(key) == res.c.end()) {
-                  res.c.emplace(
-                      key,
-                      Tile(c_shape.row_tiling().tile_extent(i),
-                           c_shape.col_tiling().tile_extent(piece.col)));
-                }
+              // Stage the column's C tiles zero-initialised (any initial C
+              // is added at assembly); a slot another piece of the same
+              // column already staged is left alone.
+              for (auto* slot : c_tiles) {
+                if (!slot->second.empty()) continue;
+                const auto i = static_cast<std::size_t>(slot->first >> 32);
+                slot->second =
+                    Tile(c_shape.row_tiling().tile_extent(i),
+                         c_shape.col_tiling().tile_extent(piece.col));
               }
             });
         graph.add_edge(gen, load, EdgeKind::kData);
@@ -313,14 +481,31 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       std::vector<std::vector<TaskId>> chunk_gemms(block.chunks.size());
       for (std::size_t ci = 0; ci < block.chunks.size(); ++ci) {
         const Chunk& chunk = block.chunks[ci];
+        double* const slot =
+            arena.slot(ci % static_cast<std::size_t>(prefetch_depth));
+        std::vector<double*> a_dst;
+        std::unordered_map<std::uint64_t, const double*> a_panel;
+        for (std::size_t t = 0; t < chunk.a_tiles.size(); ++t) {
+          const auto [i, k] = chunk.a_tiles[t];
+          a_dst.push_back(slot + layout.a_offset[ci][t]);
+          a_panel.emplace(tile_key(i, k), a_dst.back());
+          const Index rows = a_rows.tile_extent(i);
+          const double panel = static_cast<double>(
+              packed_a_doubles(rows, a_cols.tile_extent(k), geom.mr) *
+              sizeof(double));
+          stage_packed_bytes += panel;
+          stage_pad_bytes +=
+              panel - 8.0 * static_cast<double>(rows * a_cols.tile_extent(k));
+        }
         const TaskId load = graph.add_task(
             "chunkload(n" + std::to_string(n) + ",b" + std::to_string(bi) +
                 "," + std::to_string(ci) + ")",
             dq,
-            [&ns, &res, &dev, &chunk, &a, &plan, &comm, transport, n] {
+            [&ns, &dev, &chunk, &a, &plan, &comm, &a_rows, &a_cols, transport,
+             n, mr = geom.mr, a_dst = std::move(a_dst)] {
               dev.allocate(static_cast<std::size_t>(chunk.a_bytes));
-              std::lock_guard lock(res.mutex);
-              for (const auto& [i, k] : chunk.a_tiles) {
+              for (std::size_t t = 0; t < chunk.a_tiles.size(); ++t) {
+                const auto [i, k] = chunk.a_tiles[t];
                 const int home = plan.grid.home_of(i, k);
                 const bool remote = home != n;
                 // Explicit transport: stall until the message arrived
@@ -336,32 +521,51 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                     comm.record(home, n, static_cast<double>(host.bytes()));
                   }
                 }
-                res.a.emplace(tile_key(i, k), host);  // h2d copy
+                BSTC_REQUIRE(host.rows() == a_rows.tile_extent(i) &&
+                                 host.cols() == a_cols.tile_extent(k),
+                             "A tile extents disagree with the A shape");
+                // The h2d copy is the pack: A lands as MR panels.
+                pack_a_panels(host.rows(), host.cols(), host.data(), host.ld(),
+                              a_dst[t], mr);
               }
             });
         chunk_loads.push_back(load);
 
-        // One task per (k, j) B tile the chunk touches: the B panel is
-        // packed once and reused across every A-row tile of the group,
-        // and scheduling overhead is paid per group, not per GEMM.
+        // One task per (k, j) B tile the chunk touches: the staged B
+        // panels are swept across every A-row tile of the group straight
+        // from the arena, and scheduling overhead is paid per group, not
+        // per GEMM.
         for (const GemmGroup& grp : enumerator.gemm_groups(chunk, c_shape)) {
+          const Index k_ext = a_cols.tile_extent(grp.k);
+          const Index n_ext = b_cols.tile_extent(grp.j);
+          std::vector<PackedGemmItem> items;
+          std::vector<Tile*> cs;
+          for (const std::uint32_t i : grp.is) {
+            const Index m_ext = a_rows.tile_extent(i);
+            items.push_back(
+                {a_panel.at(tile_key(i, grp.k)), m_ext, nullptr, 0});
+            cs.push_back(&res.c[c_slot.at(tile_key(i, grp.j))].second);
+            gemm_flops += 2.0 * static_cast<double>(m_ext) *
+                          static_cast<double>(n_ext) *
+                          static_cast<double>(k_ext);
+          }
           const TaskId g = graph.add_task(
               "gemmbatch(" + std::to_string(grp.k) + "," +
                   std::to_string(grp.j) + ",x" +
                   std::to_string(grp.is.size()) + ")",
-              dq, [&res, grp] {
+              dq,
+              [bp = arena.b_region() +
+                    layout.b_offset.at(tile_key(grp.k, grp.j)),
+               k_ext, n_ext, items = std::move(items),
+               cs = std::move(cs)]() mutable {
                 // Single-threaded device queue: no two GEMM tasks of this
-                // device run concurrently, so C accumulation is safe.
-                const Tile& bt = res.b.at(tile_key(grp.k, grp.j));
-                std::vector<GemmBatchItem> items;
-                items.reserve(grp.is.size());
-                for (const std::uint32_t i : grp.is) {
-                  items.push_back({&res.a.at(tile_key(i, grp.k)),
-                                   &res.c.at(tile_key(i, grp.j))});
+                // device run concurrently, so C accumulation is safe. The
+                // C tiles exist once their piece is staged.
+                for (std::size_t t = 0; t < items.size(); ++t) {
+                  items[t].c = cs[t]->data();
+                  items[t].ldc = cs[t]->ld();
                 }
-                // One autotuned kernel for the whole shared-B group.
-                const MicroKernel& mk = select_batch_microkernel(items, bt);
-                gemm_batch_with(mk, 1.0, items, bt, 1.0);
+                gemm_batch_packed(1.0, items, bp, k_ext, n_ext);
               });
           chunk_gemms[ci].push_back(g);
           // Dataflow: the batch needs the piece owning its B tile staged.
@@ -371,11 +575,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
         const TaskId unload = graph.add_task(
             "chunkunload(n" + std::to_string(n) + ",b" + std::to_string(bi) +
                 "," + std::to_string(ci) + ")",
-            dq, [&res, &dev, &chunk] {
-              std::lock_guard lock(res.mutex);
-              for (const auto& [i, k] : chunk.a_tiles) {
-                res.a.erase(tile_key(i, k));
-              }
+            dq, [&dev, &chunk] {
               dev.release(static_cast<std::size_t>(chunk.a_bytes));
             });
         chunk_unloads.push_back(unload);
@@ -390,7 +590,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
           graph.add_edge(g, unload, EdgeKind::kData);
         }
         // Control: bounded prefetch — chunk ci may only start loading
-        // after chunk ci - prefetch_depth has been evicted.
+        // after chunk ci - prefetch_depth has been evicted. That chunk
+        // used the same arena slot, so this edge also makes reuse safe.
         if (ci >= static_cast<std::size_t>(prefetch_depth)) {
           graph.add_edge(
               chunk_unloads[ci - static_cast<std::size_t>(prefetch_depth)],
@@ -402,7 +603,6 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       const TaskId store = graph.add_task(
           "store(n" + std::to_string(n) + ",b" + std::to_string(bi) + ")",
           dq, [&ns, &res, &dev, &block] {
-            std::lock_guard lock(res.mutex);
             {
               std::lock_guard node_lock(ns.mutex);
               for (auto& [key, tile] : res.c) {
@@ -415,9 +615,9 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
               }
             }
             res.c.clear();
-            res.b.clear();
             dev.release(static_cast<std::size_t>(block.bytes));
           });
+      store_of_block.push_back(store);
       for (const auto& gemms : chunk_gemms) {
         for (const TaskId g : gemms) graph.add_edge(g, store, EdgeKind::kData);
       }
@@ -430,7 +630,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
 
       // Control: the next block of this GPU may only start loading after
       // this block is flushed (blocks are streamed one at a time, §3.2.2),
-      // and its first chunks wait as well.
+      // and its first chunks wait as well — they reuse its arena slots.
       const auto prev = prev_store_of_gpu.find(block.gpu);
       if (prev != prev_store_of_gpu.end()) {
         for (const TaskId l : piece_loads) {
@@ -446,6 +646,23 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       }
       prev_store_of_gpu[block.gpu] = store;
     }
+
+    // Control: a segmented column's C partials reduce into c_store in
+    // ascending block order whatever order the devices finish in. Two
+    // partials commute exactly, so the first two stores of a column run
+    // freely; every later store waits for all earlier ones. All edges
+    // point from a lower to a higher block, like the per-GPU chains, so
+    // the graph stays acyclic, and no partial is ever held back in memory.
+    std::set<std::pair<TaskId, TaskId>> order_edges;
+    for (const auto& [col, bl] : blocks_of_column) {
+      for (std::size_t t = 2; t < bl.size(); ++t) {
+        order_edges.emplace(store_of_block[bl[t - 2]], store_of_block[bl[t]]);
+        order_edges.emplace(store_of_block[bl[t - 1]], store_of_block[bl[t]]);
+      }
+    }
+    for (const auto& [from, to] : order_edges) {
+      graph.add_edge(from, to, EdgeKind::kControl);
+    }
   }
 
   BSTC_CHECK(graph.is_acyclic());
@@ -457,6 +674,15 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   const double trace_base = reg.enabled() ? reg.now() : 0.0;
   const SchedulerStats sched =
       run_graph(graph, num_queues, want_trace ? &trace : nullptr);
+  reg.counter_add("bstc_stage_packed_bytes_total",
+                  static_cast<std::uint64_t>(stage_packed_bytes));
+  reg.counter_add("bstc_stage_pad_bytes_total",
+                  static_cast<std::uint64_t>(stage_pad_bytes));
+  reg.counter_add("bstc_gemm_flops_total",
+                  static_cast<std::uint64_t>(gemm_flops));
+  // Unmap the arenas before assembly, so the staged panels and the
+  // assembled C never coexist.
+  stage.arenas.clear();
   if (!cfg.trace_path.empty()) trace.write_chrome_json(cfg.trace_path);
   if (reg.enabled()) {
     for (const TraceEvent& e : trace.events()) {
@@ -484,6 +710,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                     home, static_cast<double>(tile.bytes()));
         result.c_network_bytes += static_cast<double>(tile.bytes());
       }
+      tile = Tile();  // folded into the result: return its memory now
     }
     result.b_max_generations =
         std::max(result.b_max_generations, ns.b->max_generation_count());
@@ -516,6 +743,40 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
   result.wall_seconds = timer.elapsed_s();
   return result;
+}
+
+HostFootprint predict_host_footprint(const ExecutionPlan& plan,
+                                     const PlanStats& stats,
+                                     const Shape& a_shape,
+                                     const Shape& b_shape,
+                                     const Shape& c_shape,
+                                     double gpu_memory_bytes) {
+  HostFootprint f;
+  f.a_bytes = a_shape.nnz_bytes();
+  f.b_cache_bytes = stats.b_generated_bytes;
+  f.c_bytes = 2.0 * c_shape.nnz_bytes();
+  const StageLayout stage =
+      layout_stage(plan, a_shape, b_shape, gpu_memory_bytes, -1);
+  for (const StageArena& arena : stage.arenas) {
+    f.stage_bytes += static_cast<double>(arena.bytes());
+  }
+  return f;
+}
+
+void admit_host_footprint(const HostFootprint& footprint,
+                          double limit_bytes) {
+  const auto gb = [](double bytes) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f GB", bytes / 1e9);
+    return std::string(buf);
+  };
+  BSTC_REQUIRE(footprint.total() <= limit_bytes,
+               "predicted host footprint " + gb(footprint.total()) +
+                   " (A " + gb(footprint.a_bytes) + " + B cache " +
+                   gb(footprint.b_cache_bytes) + " + C " +
+                   gb(footprint.c_bytes) + " + stage arenas " +
+                   gb(footprint.stage_bytes) + ") exceeds the " +
+                   gb(limit_bytes) + " of host memory available");
 }
 
 }  // namespace bstc

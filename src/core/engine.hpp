@@ -135,4 +135,35 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                 const MachineModel& machine,
                                 const EngineConfig& cfg);
 
+/// Host memory one contract() call is predicted to hold at its peak,
+/// from the plan alone — known before A is materialized or B generated.
+struct HostFootprint {
+  double a_bytes = 0.0;        ///< the A operand
+  double b_cache_bytes = 0.0;  ///< B-cache high-water: every B tile the
+                               ///< nodes generate, since generation may run
+                               ///< ahead of staging
+  double c_bytes = 0.0;        ///< per-node C stores plus the assembled C
+  double stage_bytes = 0.0;    ///< every device's stage arena (packed
+                               ///< panels, register-tile padding included)
+
+  double total() const {
+    return a_bytes + b_cache_bytes + c_bytes + stage_bytes;
+  }
+};
+
+/// Predict the host footprint of executing `plan` (with its `stats`) on
+/// a machine of `gpu_memory_bytes` devices.
+HostFootprint predict_host_footprint(const ExecutionPlan& plan,
+                                     const PlanStats& stats,
+                                     const Shape& a_shape,
+                                     const Shape& b_shape,
+                                     const Shape& c_shape,
+                                     double gpu_memory_bytes);
+
+/// Throws bstc::Error, itemizing the prediction, when `footprint`
+/// exceeds `limit_bytes` — a run that would be killed for memory is
+/// refused before it allocates anything.
+void admit_host_footprint(const HostFootprint& footprint,
+                          double limit_bytes);
+
 }  // namespace bstc

@@ -275,9 +275,7 @@ PtgEngineResult contract_ptg(const BlockSparseMatrix& a, const Shape& b_shape,
           items.push_back({&res.a.at(tile_key(i, grp.k)),
                            &res.c.at(tile_key(i, grp.j))});
         }
-        // One autotuned kernel for the whole shared-B group.
-        const MicroKernel& mk = select_batch_microkernel(items, bt);
-        gemm_batch_with(mk, 1.0, items, bt, 1.0);
+        gemm_batch(1.0, items, bt, 1.0);
       },
       [](const PtgParams&) { return 2u; },  // chunkload + piece load
       [](const PtgParams& p) {

@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "plan/builder.hpp"
+#include "plan/stats.hpp"
 #include "service/fingerprint.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -67,6 +69,15 @@ ProgramInstance bind_program(LoweredProgram lowered,
   for (const LoweredNode& node : lp.nodes) {
     inst.node_fingerprints[node.id] = fingerprint_problem(
         node.a_shape, node.b_shape, node.c_shape, machine, engine.plan);
+    // Fail fast: a node whose plan can never execute is refused here, by
+    // name, before any tensor is materialized or any other node runs.
+    try {
+      require_executable(build_plan(node.a_shape, node.b_shape, node.c_shape,
+                                    machine, engine.plan),
+                         machine.node.gpu.memory_bytes);
+    } catch (const Error& e) {
+      throw Error("program node " + node.label + ": " + e.what());
+    }
   }
   // Compose in semantic order — the accumulation chain, then the
   // intermediates by canonical key — so the program fingerprint is

@@ -56,6 +56,8 @@ struct ProgramInstance {
 };
 
 /// Bind a lowered program to machine/engine knobs and fingerprint it.
+/// Plans every node once and throws bstc::Error naming the first node
+/// whose plan cannot execute on `machine` (see require_executable).
 ProgramInstance bind_program(LoweredProgram lowered,
                              const MachineModel& machine,
                              const EngineConfig& engine);

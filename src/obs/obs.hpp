@@ -47,7 +47,9 @@ enum class Category : std::uint8_t {
   kServiceNet,      ///< one distributed-serving request over the wire
   kShm,             ///< shared-memory store builds, attaches, swaps
   kExprTerm,        ///< one contraction-program DAG node (or whole program)
-  kTune,            ///< one micro-kernel autotuning benchmark (per bucket)
+  kTune,            ///< a kernel-tuning pause; the library records none
+                    ///< (the kernel is fixed per ISA), trace readers that
+                    ///< sum this category read 0
 };
 
 const char* category_name(Category cat);

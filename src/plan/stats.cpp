@@ -277,4 +277,47 @@ std::vector<std::string> validate_plan(const ExecutionPlan& plan,
   return violations;
 }
 
+namespace {
+
+double largest_chunk_bytes(const BlockPlan& block) {
+  double largest = 0.0;
+  for (const Chunk& chunk : block.chunks) {
+    largest = std::max(largest, chunk.a_bytes);
+  }
+  return largest;
+}
+
+}  // namespace
+
+int block_prefetch_depth(const ExecutionPlan& plan, const BlockPlan& block,
+                         double gpu_memory_bytes) {
+  const double largest = largest_chunk_bytes(block);
+  if (largest <= 0.0) return 1;
+  const double spare = gpu_memory_bytes - block.bytes;
+  return std::max(1, std::min(plan.config.prefetch_depth,
+                              static_cast<int>(spare / largest)));
+}
+
+void require_executable(const ExecutionPlan& plan, double gpu_memory_bytes) {
+  for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
+    const std::vector<BlockPlan>& blocks = plan.nodes[n].blocks;
+    for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
+      const double largest = largest_chunk_bytes(blocks[bi]);
+      const double spare = gpu_memory_bytes - blocks[bi].bytes;
+      BSTC_REQUIRE(spare >= largest,
+                   "grid node " + std::to_string(n) + " block " +
+                       std::to_string(bi) + ": block footprint (" +
+                       std::to_string(static_cast<long long>(
+                           blocks[bi].bytes)) +
+                       " B) leaves no room for any A chunk (largest " +
+                       std::to_string(static_cast<long long>(largest)) +
+                       " B) in " +
+                       std::to_string(static_cast<long long>(
+                           gpu_memory_bytes)) +
+                       " B of device memory; the tiling is too coarse "
+                       "for this GPU memory");
+    }
+  }
+}
+
 }  // namespace bstc

@@ -123,6 +123,19 @@ PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
 PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
                         const Shape& b, const Shape& c);
 
+/// A chunks of `block` resident on its device at once: the plan's
+/// prefetch depth (2 = the paper's 25% working + 25% prefetch scheme),
+/// clamped to what the `gpu_memory_bytes` left by the block can hold and
+/// never below 1.
+int block_prefetch_depth(const ExecutionPlan& plan, const BlockPlan& block,
+                         double gpu_memory_bytes);
+
+/// Throws bstc::Error, naming the grid node and block, when a block's
+/// footprint leaves no room on a `gpu_memory_bytes` device for its
+/// largest A chunk. Such a plan can never execute, so the executor and
+/// the binding layers check it before generating or staging anything.
+void require_executable(const ExecutionPlan& plan, double gpu_memory_bytes);
+
 /// Check the structural invariants of a plan; returns human-readable
 /// violation descriptions (empty = valid). Verifies:
 ///  * block footprints within budget unless flagged oversized;

@@ -9,7 +9,6 @@
 #include "service/fingerprint.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
-#include "tile/autotune.hpp"
 
 namespace bstc {
 
@@ -471,16 +470,6 @@ ServiceMetrics ContractionService::metrics() const {
     };
     out.shm_resident_bytes = gauge("bstc_shm_resident_bytes");
     out.shm_generation = gauge("bstc_shm_generation");
-  }
-  // Micro-kernel autotuner: snapshot the tuner itself rather than its obs
-  // mirror (tests swap the registry out from under the process tuner).
-  {
-    const Autotuner& tuner = Autotuner::instance();
-    const TuneStats tune = tuner.stats();
-    out.tune_lookups = static_cast<std::size_t>(tune.lookups);
-    out.tune_hits = static_cast<std::size_t>(tune.hits);
-    out.tune_benchmarks = static_cast<std::size_t>(tune.benchmarks);
-    out.tune_active = tuner.active_kernels();
   }
   return out;
 }

@@ -48,13 +48,6 @@ TextTable metrics_table(const ServiceMetrics& m) {
   count("expr intermediates built", m.expr_intermediates_built);
   count("expr intermediate reuse", m.expr_intermediate_reuse);
   count("expr intermediates released", m.expr_intermediates_released);
-  count("tune lookups", m.tune_lookups);
-  count("tune hits", m.tune_hits);
-  count("tune benchmarks", m.tune_benchmarks);
-  for (const auto& [kernel, buckets] : m.tune_active) {
-    table.add_row({"tune buckets (" + kernel + ")",
-                   fmt_group(static_cast<std::int64_t>(buckets))});
-  }
   duration("mean queue wait", m.mean_queue_wait_s());
   duration("max queue wait", m.max_queue_wait_s);
   duration("total inspect", m.total_inspect_s);
@@ -121,22 +114,6 @@ std::string metrics_prometheus(const ServiceMetrics& m, int rank) {
          static_cast<double>(m.expr_intermediate_reuse));
     line("bstc_expr_intermediates_released_total",
          static_cast<double>(m.expr_intermediates_released));
-    // Micro-kernel autotuner, per rank (unlabeled output carries these
-    // via the obs registry text below). The active-kernel gauge gets a
-    // combined {rank, kernel} label set so one gather shows which
-    // geometry each rank converged on.
-    line("bstc_tune_lookups_total", static_cast<double>(m.tune_lookups));
-    line("bstc_tune_hits_total", static_cast<double>(m.tune_hits));
-    line("bstc_tune_benchmarks_total",
-         static_cast<double>(m.tune_benchmarks));
-    for (const auto& [kernel, buckets] : m.tune_active) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "bstc_tune_active_buckets{rank=\"%d\",kernel=\"%s\"} "
-                    "%zu\n",
-                    rank, kernel.c_str(), buckets);
-      out += buf;
-    }
   }
   line("bstc_service_queue_wait_seconds_total", m.total_queue_wait_s);
   line("bstc_service_queue_wait_seconds_max", m.max_queue_wait_s);

@@ -6,8 +6,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "net/counters.hpp"
 #include "service/plan_cache.hpp"
@@ -56,17 +54,6 @@ struct ServiceMetrics {
   std::size_t expr_intermediates_built = 0;   ///< shared intermediates built
   std::size_t expr_intermediate_reuse = 0;    ///< consumer hits beyond builds
   std::size_t expr_intermediates_released = 0;///< refcount releases
-
-  // Micro-kernel autotuner (tile/autotune), mirrored from the Autotuner at
-  // snapshot time. The per-rank gather uses these to witness warm tuning
-  // caches (a warm second run reports zero benchmarks) and which kernels
-  // each rank actually runs.
-  std::size_t tune_lookups = 0;     ///< autotuned kernel selections
-  std::size_t tune_hits = 0;        ///< served from the selection table
-  std::size_t tune_benchmarks = 0;  ///< candidate kernels timed
-  /// (kernel name, buckets won) per selected kernel — the active-kernel
-  /// gauge, labeled per rank in the distributed gather.
-  std::vector<std::pair<std::string, std::size_t>> tune_active;
 
   // Timing aggregates over completed work (seconds).
   double total_queue_wait_s = 0.0;

@@ -19,23 +19,12 @@ bool host_supports_avx2_fma() {
 
 bool host_supports_avx512() {
 #if defined(__x86_64__) || defined(__i386__)
-  // The zoo's 512-bit kernels use zmm (F) and EVEX-encoded ymm tails (VL).
+  // The 512-bit kernel is built for F + VL (zmm plus EVEX-encoded ymm).
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512vl") && host_supports_avx2_fma();
 #else
   return false;
 #endif
-}
-
-/// Geometry suffixes the kernel zoo ships for every ISA. Kept in sync
-/// with microkernel_*.cpp by GemmKernels.ZooMatchesAcceptedGeometries.
-constexpr const char* kKnownGeometries[] = {"8x4", "8x6", "12x4", "4x12"};
-
-bool known_geometry(const std::string& geom) {
-  for (const char* g : kKnownGeometries) {
-    if (geom == g) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -54,19 +43,7 @@ KernelChoice resolve_kernel_choice(const char* env, KernelIsa host_best) {
     return choice;
   }
 
-  // Split an optional "-MRxNR" geometry suffix off the ISA name.
-  std::string value(env);
-  std::string isa_name = value;
-  const std::size_t dash = value.find('-');
-  if (dash != std::string::npos) {
-    isa_name = value.substr(0, dash);
-    choice.pinned_geometry = value.substr(dash + 1);
-    BSTC_REQUIRE(known_geometry(choice.pinned_geometry),
-                 "BSTC_KERNEL=" + value + ": unknown kernel geometry \"" +
-                     choice.pinned_geometry +
-                     "\" (known: 8x4, 8x6, 12x4, 4x12)");
-  }
-
+  const std::string isa_name(env);
   KernelIsa requested;
   if (isa_name == "scalar") {
     requested = KernelIsa::kScalar;
@@ -75,10 +52,9 @@ KernelChoice resolve_kernel_choice(const char* env, KernelIsa host_best) {
   } else if (isa_name == "avx512") {
     requested = KernelIsa::kAvx512;
   } else {
-    BSTC_REQUIRE(false, "BSTC_KERNEL=" + value +
-                            ": unknown kernel ISA \"" + isa_name +
-                            "\" (accepted: auto, scalar, avx2, avx512, or a "
-                            "full kernel name like avx2-8x6)");
+    BSTC_REQUIRE(false, "BSTC_KERNEL=" + isa_name +
+                            ": unknown kernel ISA (accepted: auto, scalar, "
+                            "avx2, avx512)");
     __builtin_unreachable();
   }
   choice.requested = isa_name;
@@ -114,10 +90,6 @@ const KernelChoice& process_kernel_choice() {
 }  // namespace
 
 KernelIsa active_kernel_isa() { return process_kernel_choice().isa; }
-
-const std::string& pinned_kernel_geometry() {
-  return process_kernel_choice().pinned_geometry;
-}
 
 const char* kernel_isa_name(KernelIsa isa) {
   switch (isa) {

@@ -12,10 +12,8 @@
 ///   * "auto" (default)            — best ISA the host supports;
 ///   * "scalar" / "avx2" / "avx512" — cap the ISA (a request above the
 ///     host's capability is downgraded to the best supported ISA, with
-///     one warning line on stderr);
-///   * a full kernel name ("avx2-8x6", "avx512-12x4", ...) — same ISA
-///     rules, and additionally pins the micro-kernel geometry so the
-///     autotuner always selects that variant.
+///     one warning line on stderr). Each ISA has exactly one kernel, so
+///     the ISA also fixes the kernel geometry.
 ///
 /// Anything else is rejected with a clear bstc::Error — a typo in
 /// BSTC_KERNEL must never silently fall back to autodetection.
@@ -40,22 +38,17 @@ struct KernelChoice {
   KernelIsa isa = KernelIsa::kScalar;
   bool downgraded = false;   ///< an explicit ISA request exceeded the host
   std::string requested;     ///< the ISA name that was requested (if any)
-  std::string pinned_geometry;  ///< "8x6" etc. when a full name pinned it
 };
 
 /// Parse a BSTC_KERNEL value (may be nullptr = unset) against
-/// `host_best`. Pure function, exposed for tests: unknown ISA names and
-/// unknown geometry suffixes throw bstc::Error; explicit requests above
-/// the host capability downgrade to `host_best` with `downgraded` set.
+/// `host_best`. Pure function, exposed for tests: unknown ISA names
+/// throw bstc::Error; explicit requests above the host capability
+/// downgrade to `host_best` with `downgraded` set.
 KernelChoice resolve_kernel_choice(const char* env, KernelIsa host_best);
 
 /// The ISA selected for this process (detection + BSTC_KERNEL override,
 /// resolved once; a downgrade is logged to stderr exactly once).
 KernelIsa active_kernel_isa();
-
-/// Geometry pinned by a full-name BSTC_KERNEL value ("8x6", ...), or ""
-/// when the autotuner is free to choose (resolved once per process).
-const std::string& pinned_kernel_geometry();
 
 /// Human-readable ISA name ("scalar" / "avx2" / "avx512").
 const char* kernel_isa_name(KernelIsa isa);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "tile/autotune.hpp"
 #include "tile/cpu_features.hpp"
 #include "tile/microkernel.hpp"
 #include "tile/pack.hpp"
@@ -94,7 +93,7 @@ void scale_view(Index m, Index n, double beta, double* c, Index ldc) {
 
 /// Run the micro-kernel over one packed mc x kc A block and the packed
 /// kc x nc B block (both packed with the kernel's geometry), updating the
-/// C view at (0, 0).
+/// C view at (0, 0). Each B panel stays in L1 across the A panels.
 void macro_kernel(const MicroKernel& mk, Index mc, Index nc, Index kc,
                   double alpha, const double* ap, const double* bp, double* c,
                   Index ldc) {
@@ -203,13 +202,8 @@ void gemm_view_with(const MicroKernel& mk, Index m, Index n, Index k,
 void gemm_view(Index m, Index n, Index k, double alpha, const double* a,
                Index lda, const double* b, Index ldb, double beta, double* c,
                Index ldc) {
-  if (m > 0 && n > 0 && k > 0) {
-    gemm_view_with(select_microkernel(m, k, n), m, n, k, alpha, a, lda, b,
-                   ldb, beta, c, ldc);
-  } else {
-    gemm_view_with(default_microkernel(), m, n, k, alpha, a, lda, b, ldb,
-                   beta, c, ldc);
-  }
+  gemm_view_with(active_microkernel(), m, n, k, alpha, a, lda, b, ldb, beta,
+                 c, ldc);
 }
 
 void gemm(double alpha, const Tile& a, const Tile& b, double beta, Tile& c) {
@@ -218,30 +212,41 @@ void gemm(double alpha, const Tile& a, const Tile& b, double beta, Tile& c) {
             b.ld(), beta, c.data(), c.ld());
 }
 
-const MicroKernel& select_batch_microkernel(
-    std::span<const GemmBatchItem> items, const Tile& b) {
-  // One kernel for the whole group (the shared B panel is packed once, so
-  // the geometry must be uniform). Physics tilings skew the A-row extents
-  // small, so the mean m is the representative the bucket is tuned for.
-  Index sum_m = 0;
-  for (const GemmBatchItem& item : items) {
-    if (item.a != nullptr) sum_m += item.a->rows();
+void gemm_batch_packed(double alpha, std::span<const PackedGemmItem> items,
+                       const double* b, Index k, Index n) {
+  const MicroKernel& mk = active_microkernel();
+  const Index MR = mk.geom.mr, NR = mk.geom.nr;
+  const Index npad = (n + NR - 1) / NR * NR;
+  // Slab-major so the shared B slab stays cache-resident across every
+  // item. Every C element still sees its slabs in ascending order, one
+  // commit per slab — the chain gemm_view runs, hence bitwise-equal
+  // results.
+  for (Index pc = 0; pc < k; pc += kPackKC) {
+    const Index kc = std::min(kPackKC, k - pc);
+    const double* bslab = b + pc * npad;
+    for (const PackedGemmItem& item : items) {
+      macro_kernel(mk, item.m, n, kc, alpha,
+                   item.a + pc * ((item.m + MR - 1) / MR * MR), bslab, item.c,
+                   item.ldc);
+    }
   }
-  if (items.empty() || sum_m <= 0) return default_microkernel();
-  const Index mean_m =
-      std::max<Index>(1, sum_m / static_cast<Index>(items.size()));
-  return select_microkernel(mean_m, b.rows(), b.cols());
 }
 
-void gemm_batch_with(const MicroKernel& mk, double alpha,
-                     std::span<const GemmBatchItem> items, const Tile& b,
-                     double beta) {
-  Index max_m = 0;
-  for (const GemmBatchItem& item : items) {
+void gemm_batch(double alpha, std::span<const GemmBatchItem> items,
+                const Tile& b, double beta) {
+  const Index k = b.rows(), n = b.cols();
+  const KernelGeometry& g = active_microkernel().geom;
+  // One arena acquire for B plus every A tile that needs packing (an item
+  // reading the same A as its predecessor reuses that pack).
+  std::size_t total = packed_b_doubles(k, n, g.nr);
+  for (std::size_t t = 0; t < items.size(); ++t) {
+    const GemmBatchItem& item = items[t];
     BSTC_REQUIRE(item.a != nullptr && item.c != nullptr,
                  "GEMM batch items must be complete");
     check_conformance(*item.a, b, *item.c);
-    max_m = std::max(max_m, item.a->rows());
+    if (t == 0 || items[t - 1].a != item.a) {
+      total += packed_a_doubles(item.a->rows(), k, g.mr);
+    }
   }
 
   // beta exactly once per distinct C tile: items may alias outputs.
@@ -254,62 +259,30 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
       scale(beta, *item.c);
     }
   }
-  const Index k = b.rows(), n = b.cols();
-  if (alpha == 0.0 || max_m <= 0 || n <= 0 || k <= 0) return;
+  if (alpha == 0.0 || items.empty() || n <= 0 || k <= 0) return;
 
-  const KernelGeometry& g = mk.geom;
-  const std::size_t b_doubles =
-      packed_b_doubles(std::min(k, kPackKC), std::min(n, g.nc), g.nr);
-  const std::size_t a_doubles =
-      packed_a_doubles(std::min(max_m, g.mc), std::min(k, kPackKC), g.mr);
-  double* bp = pack_arena().acquire(b_doubles + a_doubles);
-  double* ap = bp + b_doubles;
-
-  // What the A scratch currently holds: consecutive items referencing the
-  // same A tile (and the same (ic, pc) block of it) skip the re-pack.
-  // The key survives the jc loop on purpose — an A block is independent
-  // of jc, so the first item of a new jc slab reuses the pack too.
-  struct PackedAKey {
-    const double* a = nullptr;
-    Index lda = -1, ic = -1, pc = -1, mc = -1;
-  } packed;
-
-  // The shared B panel is packed once per (jc, pc) for the whole group —
-  // this is the point of batching: every item reuses it from cache.
-  for (Index jc = 0; jc < n; jc += g.nc) {
-    const Index nc = std::min(g.nc, n - jc);
-    for (Index pc = 0; pc < k; pc += kPackKC) {
-      const Index kc = std::min(kPackKC, k - pc);
-      pack_b(kc, nc, b.data() + pc + jc * b.ld(), b.ld(), bp, g.nr);
-      for (const GemmBatchItem& item : items) {
-        const Index m = item.a->rows();
-        const double* adata = item.a->data();
-        const Index lda = item.a->ld();
-        double* cdata = item.c->data();
-        const Index ldc = item.c->ld();
-        for (Index ic = 0; ic < m; ic += g.mc) {
-          const Index mc = std::min(g.mc, m - ic);
-          if (packed.a != adata || packed.lda != lda || packed.ic != ic ||
-              packed.pc != pc || packed.mc != mc) {
-            pack_a(mc, kc, adata + ic + pc * lda, lda, ap, g.mr);
-            packed = {adata, lda, ic, pc, mc};
-            ++t_batch_a_packs;
-          }
-          macro_kernel(mk, mc, nc, kc, alpha, ap, bp, cdata + ic + jc * ldc,
-                       ldc);
-        }
-      }
+  double* bp = pack_arena().acquire(total);
+  pack_b_panels(k, n, b.data(), b.ld(), bp, g.nr);
+  double* next = bp + packed_b_doubles(k, n, g.nr);
+  std::vector<PackedGemmItem> packed;
+  packed.reserve(items.size());
+  for (std::size_t t = 0; t < items.size(); ++t) {
+    const Tile& a = *items[t].a;
+    if (t == 0 || items[t - 1].a != items[t].a) {
+      pack_a_panels(a.rows(), k, a.data(), a.ld(), next, g.mr);
+      packed.push_back({next, a.rows(), items[t].c->data(), items[t].c->ld()});
+      next += packed_a_doubles(a.rows(), k, g.mr);
+      ++t_batch_a_packs;
+    } else {
+      packed.push_back({packed.back().a, a.rows(), items[t].c->data(),
+                        items[t].c->ld()});
     }
   }
-}
-
-void gemm_batch(double alpha, std::span<const GemmBatchItem> items,
-                const Tile& b, double beta) {
-  gemm_batch_with(select_batch_microkernel(items, b), alpha, items, b, beta);
+  gemm_batch_packed(alpha, packed, bp, k, n);
 }
 
 std::uint64_t gemm_batch_a_pack_count() { return t_batch_a_packs; }
 
-const char* gemm_kernel_name() { return default_microkernel().name.c_str(); }
+const char* gemm_kernel_name() { return active_microkernel().name.c_str(); }
 
 }  // namespace bstc

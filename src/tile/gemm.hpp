@@ -11,21 +11,16 @@
 ///  * gemm_blocked — cache-blocked with an in-place 4x4 micro-kernel (the
 ///                   pre-packing kernel, kept as a benchmark baseline);
 ///  * gemm         — BLIS-style packed kernel: operands are copied into
-///                   aligned MR-row / NR-column panels (pack.hpp) and a
-///                   micro-kernel from the zoo (microkernel.hpp) runs
-///                   fringe-free over them. The kernel is chosen per
-///                   (m, k, n) shape bucket by the autotuner
-///                   (autotune.hpp) among the active ISA's geometries —
-///                   a pure performance decision, since same-ISA kernels
-///                   are bitwise-identical.
+///                   aligned MR-row / NR-column panels (pack.hpp) and the
+///                   active ISA's micro-kernel (microkernel.hpp) runs
+///                   fringe-free over them.
 ///
 /// gemm_batch() executes a group of tile GEMMs that all read the same B
-/// tile — the executor's unit of work — packing each B panel once for the
-/// whole group instead of once per GEMM, and skipping the A-block re-pack
-/// when consecutive items reference the same A tile.
-///
-/// The *_with variants run a caller-chosen zoo kernel (engines select
-/// once per batch; benches and tests pin geometries explicitly).
+/// tile — the executor's unit of work — packing B once for the whole
+/// group and each distinct A tile once. gemm_batch_packed() is the same
+/// computation over operands the caller already packed (the executor
+/// packs while staging, so its GEMM tasks copy nothing); gemm_batch is
+/// exactly "pack, then gemm_batch_packed", so the two are bitwise equal.
 
 #include <span>
 
@@ -46,12 +41,12 @@ void gemm_blocked(double alpha, const Tile& a, const Tile& b, double beta,
 /// C <- alpha*A*B + beta*C over raw column-major views: A is m x k with
 /// leading dimension lda >= m, B k x n with ldb >= k, C m x n with
 /// ldc >= m — leading dimensions may exceed the view extents (submatrix
-/// views). Packed path with autotuned micro-kernel selection.
+/// views). Packed path on the active micro-kernel.
 void gemm_view(Index m, Index n, Index k, double alpha, const double* a,
                Index lda, const double* b, Index ldb, double beta, double* c,
                Index ldc);
 
-/// gemm_view with an explicit zoo kernel (no autotuner consultation).
+/// gemm_view on an explicit kernel (tests and benches compare ISAs).
 void gemm_view_with(const MicroKernel& mk, Index m, Index n, Index k,
                     double alpha, const double* a, Index lda, const double* b,
                     Index ldb, double beta, double* c, Index ldc);
@@ -66,31 +61,36 @@ struct GemmBatchItem {
   Tile* c = nullptr;
 };
 
-/// Execute every item against the same B tile, packing each B panel once
-/// for the whole group. beta is applied exactly once per *distinct* C
+/// Execute every item against the same B tile, packing B once for the
+/// whole group and skipping the A pack when an item reads the same A tile
+/// as the item before it. beta is applied exactly once per *distinct* C
 /// tile, so items may alias their outputs (the aliased tile then receives
-/// beta*C plus every aliased item's product, in item order). The kernel
-/// is selected once for the whole batch (see select_batch_microkernel).
+/// beta*C plus every aliased item's product).
 void gemm_batch(double alpha, std::span<const GemmBatchItem> items,
                 const Tile& b, double beta);
 
-/// gemm_batch with an explicit zoo kernel (no autotuner consultation).
-void gemm_batch_with(const MicroKernel& mk, double alpha,
-                     std::span<const GemmBatchItem> items, const Tile& b,
-                     double beta);
+/// One member of a pre-packed batch: C(m x n, leading dimension ldc) +=
+/// alpha * A * B, with A packed by pack_a_panels(m, k, ..., MR) for the
+/// active kernel's MR.
+struct PackedGemmItem {
+  const double* a = nullptr;
+  Index m = 0;
+  double* c = nullptr;
+  Index ldc = 0;
+};
 
-/// The autotuner's choice for a shared-B batch: one kernel for the whole
-/// group (the B panel is packed once, so the geometry must be uniform),
-/// bucketed on the items' mean A-row extent and B's (k, n).
-const MicroKernel& select_batch_microkernel(
-    std::span<const GemmBatchItem> items, const Tile& b);
+/// Execute every item against one B operand of k x n packed by
+/// pack_b_panels(k, n, ..., NR) for the active kernel's NR — no packing,
+/// no allocation. C accumulates (beta = 1); items may alias C.
+void gemm_batch_packed(double alpha, std::span<const PackedGemmItem> items,
+                       const double* b, Index k, Index n);
 
-/// A-block packs performed by gemm_batch on this thread so far — test
+/// A-tile packs performed by gemm_batch on this thread so far — test
 /// observability for the consecutive-same-A re-pack skip.
 std::uint64_t gemm_batch_a_pack_count();
 
-/// Name of the default dispatched micro-kernel ("avx512-8x4", ...),
-/// derived from the zoo entry that actually runs — never hand-written.
+/// Name of the dispatched micro-kernel ("avx512-16x12", ...), derived
+/// from the kernel table entry that actually runs — never hand-written.
 const char* gemm_kernel_name();
 
 /// Flops of one tile GEMM (2*m*n*k).

@@ -1,9 +1,14 @@
 #pragma once
 
 /// \file microkernel.hpp
-/// The micro-kernel zoo: register micro-kernels over packed panels (see
-/// pack.hpp for the panel format) in several geometries per ISA, plus the
-/// registry the autotuner selects from.
+/// Register micro-kernels over packed panels (see pack.hpp for the panel
+/// format): exactly one kernel per ISA, each sized to saturate its
+/// register file —
+///
+///   * avx512-16x12 — 2 zmm rows x 12 columns = 24 accumulators, enough
+///     independent FMA chains to cover 2 FMA ports x 4-cycle latency;
+///   * avx2-8x6     — 2 ymm rows x 6 columns = 12 of the 16 ymm registers;
+///   * scalar-8x4   — portable C++, the baseline any host can run.
 ///
 /// Contract: C(0:mr, 0:nr) += alpha * Apanel * Bpanel, where Apanel is one
 /// packed MR-row panel (kc iterations of MR contiguous doubles, fringe
@@ -13,13 +18,13 @@
 /// runs the full MR x NR tile, which is safe because packed fringes are
 /// zeros.
 ///
-/// Bitwise discipline: within one ISA, every geometry accumulates each C
-/// element as the same k-ascending chain (one fused multiply-add per k
-/// step for the vector ISAs, one mul+add for scalar) and commits it with
-/// one alpha-scaled FMA (vector) or mul+add (scalar) per KC block — so
-/// kernels of the same ISA produce bitwise-identical C for any geometry,
-/// and AVX2/AVX-512 are bitwise-identical to each other. The autotuner
-/// may therefore switch geometries freely without perturbing results.
+/// Bitwise discipline: every C element accumulates as the same
+/// k-ascending chain — one fused multiply-add per k step for the vector
+/// ISAs, one mul+add for scalar — committed with one alpha-scaled FMA
+/// (vector) or mul+add (scalar) per kPackKC slab. The AVX2 and AVX-512
+/// kernels therefore produce bitwise-identical C despite their different
+/// register tiles, and so do the per-call, batched and pre-packed entries
+/// in gemm.hpp.
 
 #include <span>
 #include <string>
@@ -33,8 +38,8 @@ using MicroKernelFn = void (*)(Index kc, double alpha, const double* apanel,
                                const double* bpanel, double* c, Index ldc,
                                Index mr, Index nr);
 
-/// One zoo member: a micro-kernel function plus the geometry its panels
-/// must be packed with and the ISA it requires.
+/// One kernel: the function plus the geometry its panels must be packed
+/// with and the ISA it requires.
 struct MicroKernel {
   std::string name;  ///< "<isa>-<MR>x<NR>", derived from the fields below
   KernelIsa isa = KernelIsa::kScalar;
@@ -42,42 +47,29 @@ struct MicroKernel {
   MicroKernelFn fn = nullptr;
 };
 
-/// Every micro-kernel compiled into this binary, in a stable order
-/// (scalar, avx2, avx512; default 8x4 geometry first within each ISA).
-/// On non-x86 builds the vector entries are absent.
-std::span<const MicroKernel> microkernel_zoo();
+/// Every kernel compiled into this binary, one per ISA in KernelIsa order
+/// (scalar, avx2, avx512). On non-x86 builds the vector entries are
+/// absent.
+std::span<const MicroKernel> microkernels();
 
-/// The zoo members whose ISA is exactly `isa` — the autotuner's candidate
-/// set. Selection never mixes ISAs within a process: one ISA keeps every
-/// possible selection bitwise-identical (see the bitwise discipline note).
-std::span<const MicroKernel> microkernels_for_isa(KernelIsa isa);
+/// The kernel for `isa`, or nullptr when it is not compiled in.
+const MicroKernel* microkernel_for(KernelIsa isa);
 
-/// The default-geometry (8x4) kernel of the active ISA — what runs when
-/// the autotuner is disabled, and the baseline every candidate must beat.
-const MicroKernel& default_microkernel();
-
-/// Look up a zoo member by name ("avx2-8x6", ...); nullptr if absent.
-const MicroKernel* find_microkernel(const std::string& name);
-
-/// Geometry-variant factories per ISA (nullptr fn entries never appear in
-/// the zoo). Exposed for tests; production code goes through the zoo.
-MicroKernelFn scalar_microkernel();  ///< the 8x4 scalar kernel
-MicroKernelFn avx2_microkernel();    ///< the 8x4 AVX2 kernel (or nullptr)
+/// The kernel of active_kernel_isa() (resolved once per process) — the
+/// one every packed GEMM entry runs, and whose geometry the executor
+/// packs its staged panels with.
+const MicroKernel& active_microkernel();
 
 namespace detail {
-/// All variants one translation unit contributes: (geometry, fn) pairs in
-/// the canonical geometry order 8x4, 8x6, 12x4, 4x12.
+/// The (geometry, fn) pair each ISA's translation unit contributes;
+/// fn is nullptr when the ISA is not compiled in.
 struct KernelVariant {
   KernelGeometry geom;
   MicroKernelFn fn = nullptr;
 };
-std::span<const KernelVariant> scalar_kernel_variants();
-std::span<const KernelVariant> avx2_kernel_variants();    ///< empty off-x86
-std::span<const KernelVariant> avx512_kernel_variants();  ///< empty off-x86
+KernelVariant scalar_kernel_variant();
+KernelVariant avx2_kernel_variant();
+KernelVariant avx512_kernel_variant();
 }  // namespace detail
-
-/// The micro-kernel for active_kernel_isa() in the default geometry
-/// (resolved once per process). Kept for callers that predate the zoo.
-MicroKernelFn active_microkernel();
 
 }  // namespace bstc

@@ -7,19 +7,21 @@
 namespace bstc {
 namespace {
 
-/// Generic AVX2/FMA kernel over MRV ymm row-vectors (MR = 4*MRV rows) and
-/// NR columns: one B broadcast and MRV FMAs per column per k step. The
-/// fixed-trip loops over the register arrays fully unroll at -O3, so each
-/// instantiation is a flat register kernel. Built with a function-level
-/// target attribute so the translation unit still compiles for the
-/// baseline architecture; only dispatch may call it.
+/// AVX2/FMA kernel over MRV ymm row-vectors (MR = 4*MRV rows) and NR
+/// columns: one B broadcast and MRV FMAs per column per k step. The
+/// shipped instantiation is 8x6 (MRV=2): 12 accumulators + 2 A vectors +
+/// 1 broadcast out of 16 ymm registers. The fixed-trip loops over the
+/// register arrays fully unroll at -O3, so it is a flat register kernel.
+/// Built with a function-level target attribute so the translation unit
+/// still compiles for the baseline architecture; only dispatch may call
+/// it.
 ///
 /// Stores: the full-tile path commits with one vector FMA per element
 /// (c = fma(alpha, acc, c)); the fringe path spills the register tile and
 /// commits with a scalar __builtin_fma — the same single rounding — so an
 /// element's result never depends on whether its geometry put it in a
 /// full or a fringe tile. That, plus the shared KC blocking, is what
-/// makes every AVX2/AVX-512 geometry bitwise-identical.
+/// makes the AVX2 and AVX-512 kernels bitwise-identical.
 template <int MRV, int NR>
 __attribute__((target("avx2,fma"))) void avx2_kernel(
     Index kc, double alpha, const double* apanel, const double* bpanel,
@@ -73,20 +75,13 @@ __attribute__((target("avx2,fma"))) void avx2_kernel(
   }
 }
 
-const detail::KernelVariant kAvx2Variants[] = {
-    {{8, 4, 128, 512}, &avx2_kernel<2, 4>},
-    {{8, 6, 128, 510}, &avx2_kernel<2, 6>},
-    {{12, 4, 120, 512}, &avx2_kernel<3, 4>},
-    {{4, 12, 128, 504}, &avx2_kernel<1, 12>},
-};
-
 }  // namespace
 
 namespace detail {
-std::span<const KernelVariant> avx2_kernel_variants() { return kAvx2Variants; }
+KernelVariant avx2_kernel_variant() {
+  return {{8, 6, 128, 510}, &avx2_kernel<2, 6>};
+}
 }  // namespace detail
-
-MicroKernelFn avx2_microkernel() { return &avx2_kernel<2, 4>; }
 
 }  // namespace bstc
 
@@ -94,9 +89,8 @@ MicroKernelFn avx2_microkernel() { return &avx2_kernel<2, 4>; }
 
 namespace bstc {
 namespace detail {
-std::span<const KernelVariant> avx2_kernel_variants() { return {}; }
+KernelVariant avx2_kernel_variant() { return {}; }
 }  // namespace detail
-MicroKernelFn avx2_microkernel() { return nullptr; }
 }  // namespace bstc
 
 #endif

@@ -7,82 +7,56 @@
 namespace bstc {
 namespace {
 
-/// Generic AVX-512 kernel over NZ zmm + NY EVEX-ymm row-vectors per
-/// column (MR = 8*NZ + 4*NY rows) and NR columns. The 4x12 geometry is
-/// pure-ymm (NZ=0): it wins nothing from 512-bit vectors but benefits
-/// from the 32-register EVEX file, which is why it still lives in the
-/// avx512 family. Register budget at the largest shape (12x4): 4 zmm +
-/// 4 ymm accumulators + 2 A vectors + broadcasts, far under 32.
+/// AVX-512 kernel over NZ zmm row-vectors per column (MR = 8*NZ rows) and
+/// NR columns. The shipped instantiation is 16x12 (NZ=2): 24 zmm
+/// accumulators + 2 A vectors + 1 broadcast out of 32 registers — 24
+/// independent FMA chains, enough to keep both FMA ports busy through the
+/// 4-cycle latency.
 ///
 /// Bitwise discipline (see microkernel.hpp): per element, one FMA per k
 /// step in k order plus one alpha-FMA commit — identical rounding to the
-/// AVX2 family, so AVX2 and AVX-512 results match bitwise.
-template <int NZ, int NY, int NR>
+/// AVX2 kernel, so AVX2 and AVX-512 results match bitwise.
+template <int NZ, int NR>
 __attribute__((target("avx2,fma,avx512f,avx512vl"))) void avx512_kernel(
     Index kc, double alpha, const double* apanel, const double* bpanel,
     double* c, Index ldc, Index mr, Index nr) {
-  constexpr Index MR = 8 * NZ + 4 * NY;
-  __m512d accz[NR][NZ > 0 ? NZ : 1];
-  __m256d accy[NR][NY > 0 ? NY : 1];
+  constexpr Index MR = 8 * NZ;
+  __m512d acc[NR][NZ];
   for (int j = 0; j < NR; ++j) {
-    for (int v = 0; v < NZ; ++v) accz[j][v] = _mm512_setzero_pd();
-    for (int v = 0; v < NY; ++v) accy[j][v] = _mm256_setzero_pd();
+    for (int v = 0; v < NZ; ++v) acc[j][v] = _mm512_setzero_pd();
   }
   for (Index k = 0; k < kc; ++k) {
-    __m512d az[NZ > 0 ? NZ : 1];
-    __m256d ay[NY > 0 ? NY : 1];
-    for (int v = 0; v < NZ; ++v) az[v] = _mm512_loadu_pd(apanel + 8 * v);
-    for (int v = 0; v < NY; ++v) {
-      ay[v] = _mm256_loadu_pd(apanel + 8 * NZ + 4 * v);
-    }
+    __m512d a[NZ];
+    for (int v = 0; v < NZ; ++v) a[v] = _mm512_loadu_pd(apanel + 8 * v);
     apanel += MR;
     for (int j = 0; j < NR; ++j) {
-      if (NZ > 0) {
-        const __m512d bz = _mm512_set1_pd(bpanel[j]);
-        for (int v = 0; v < NZ; ++v) {
-          accz[j][v] = _mm512_fmadd_pd(az[v], bz, accz[j][v]);
-        }
-      }
-      if (NY > 0) {
-        const __m256d by = _mm256_set1_pd(bpanel[j]);
-        for (int v = 0; v < NY; ++v) {
-          accy[j][v] = _mm256_fmadd_pd(ay[v], by, accy[j][v]);
-        }
+      const __m512d bj = _mm512_set1_pd(bpanel[j]);
+      for (int v = 0; v < NZ; ++v) {
+        acc[j][v] = _mm512_fmadd_pd(a[v], bj, acc[j][v]);
       }
     }
     bpanel += NR;
   }
 
   if (mr == MR && nr == NR) {
-    const __m512d vaz = _mm512_set1_pd(alpha);
-    const __m256d vay = _mm256_set1_pd(alpha);
+    const __m512d va = _mm512_set1_pd(alpha);
     for (int j = 0; j < NR; ++j) {
       double* cj = c + j * ldc;
       for (int v = 0; v < NZ; ++v) {
         _mm512_storeu_pd(
             cj + 8 * v,
-            _mm512_fmadd_pd(vaz, accz[j][v], _mm512_loadu_pd(cj + 8 * v)));
-      }
-      for (int v = 0; v < NY; ++v) {
-        double* cy = cj + 8 * NZ + 4 * v;
-        _mm256_storeu_pd(cy,
-                         _mm256_fmadd_pd(vay, accy[j][v], _mm256_loadu_pd(cy)));
+            _mm512_fmadd_pd(va, acc[j][v], _mm512_loadu_pd(cj + 8 * v)));
       }
     }
     return;
   }
 
-  // Fringe store: spill the register tile and FMA-commit the live part.
-  // The per-column stride MR need not be a vector multiple (12x4: odd
-  // columns start 96B in), so the spill must use unaligned stores — it
-  // is a cold path, the unaligned form costs nothing.
+  // Fringe store: spill the register tile and FMA-commit the live part
+  // with the same single rounding as the full-tile path.
   alignas(64) double tmp[NR * MR];
   for (int j = 0; j < NR; ++j) {
     for (int v = 0; v < NZ; ++v) {
-      _mm512_storeu_pd(tmp + j * MR + 8 * v, accz[j][v]);
-    }
-    for (int v = 0; v < NY; ++v) {
-      _mm256_storeu_pd(tmp + j * MR + 8 * NZ + 4 * v, accy[j][v]);
+      _mm512_store_pd(tmp + j * MR + 8 * v, acc[j][v]);
     }
   }
   for (Index j = 0; j < nr; ++j) {
@@ -94,28 +68,21 @@ __attribute__((target("avx2,fma,avx512f,avx512vl"))) void avx512_kernel(
   }
 }
 
-const detail::KernelVariant kAvx512Variants[] = {
-    {{8, 4, 128, 512}, &avx512_kernel<1, 0, 4>},
-    {{8, 6, 128, 510}, &avx512_kernel<1, 0, 6>},
-    {{12, 4, 120, 512}, &avx512_kernel<1, 1, 4>},
-    {{4, 12, 128, 504}, &avx512_kernel<0, 1, 12>},
-};
-
 }  // namespace
 
 namespace detail {
-std::span<const KernelVariant> avx512_kernel_variants() {
-  return kAvx512Variants;
+KernelVariant avx512_kernel_variant() {
+  return {{16, 12, 128, 504}, &avx512_kernel<2, 12>};
 }
 }  // namespace detail
 
 }  // namespace bstc
 
-#else  // non-x86 build: no AVX-512 kernels; dispatch never selects them.
+#else  // non-x86 build: no AVX-512 kernel; dispatch never selects it.
 
 namespace bstc {
 namespace detail {
-std::span<const KernelVariant> avx512_kernel_variants() { return {}; }
+KernelVariant avx512_kernel_variant() { return {}; }
 }  // namespace detail
 }  // namespace bstc
 

@@ -7,8 +7,6 @@ namespace {
 /// independent chains per column, which baseline autovectorization (SSE2)
 /// can still pick up. Fringes are handled at store time only — the packed
 /// panels are zero-padded, so the full-tile multiply is always valid.
-/// Every scalar geometry performs the identical per-element mul+add chain
-/// in k order, so scalar kernels are bitwise-identical to each other.
 template <Index MR, Index NR>
 void scalar_kernel(Index kc, double alpha, const double* apanel,
                    const double* bpanel, double* c, Index ldc, Index mr,
@@ -32,23 +30,12 @@ void scalar_kernel(Index kc, double alpha, const double* apanel,
   }
 }
 
-const detail::KernelVariant kScalarVariants[] = {
-    {{8, 4, 128, 512}, &scalar_kernel<8, 4>},
-    {{8, 6, 128, 510}, &scalar_kernel<8, 6>},
-    {{12, 4, 120, 512}, &scalar_kernel<12, 4>},
-    {{4, 12, 128, 504}, &scalar_kernel<4, 12>},
-};
-
 }  // namespace
 
 namespace detail {
-std::span<const KernelVariant> scalar_kernel_variants() {
-  return kScalarVariants;
+KernelVariant scalar_kernel_variant() {
+  return {{8, 4, 128, 512}, &scalar_kernel<8, 4>};
 }
 }  // namespace detail
-
-MicroKernelFn scalar_microkernel() { return &scalar_kernel<8, 4>; }
-
-MicroKernelFn active_microkernel() { return default_microkernel().fn; }
 
 }  // namespace bstc

@@ -71,4 +71,21 @@ void pack_b(Index kc, Index nc, const double* b, Index ldb, double* dst,
   }
 }
 
+void pack_a_panels(Index m, Index k, const double* a, Index lda, double* dst,
+                   Index mr) {
+  const Index mpad = (m + mr - 1) / mr * mr;
+  for (Index pc = 0; pc < k; pc += kPackKC) {
+    pack_a(m, std::min(kPackKC, k - pc), a + pc * lda, lda, dst + pc * mpad,
+           mr);
+  }
+}
+
+void pack_b_panels(Index k, Index n, const double* b, Index ldb, double* dst,
+                   Index nr) {
+  const Index npad = (n + nr - 1) / nr * nr;
+  for (Index pc = 0; pc < k; pc += kPackKC) {
+    pack_b(std::min(kPackKC, k - pc), n, b + pc, ldb, dst + pc * npad, nr);
+  }
+}
+
 }  // namespace bstc

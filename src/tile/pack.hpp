@@ -12,16 +12,21 @@
 /// through worker threads.
 ///
 /// The panel layout is parameterized by the register-tile geometry
-/// (MR, NR) of the consuming micro-kernel — the kernel zoo ships several
-/// geometries (see microkernel.hpp) and each packs with its own MR/NR.
-/// The layout is ISA-independent: scalar, AVX2 and AVX-512 kernels of the
-/// same geometry consume the same packed format.
+/// (MR, NR) of the consuming micro-kernel: each ISA's kernel (see
+/// microkernel.hpp) packs with its own MR/NR.
 ///
-/// The KC cache blocking is shared by every geometry on purpose: a C
+/// The KC cache blocking is shared by every kernel on purpose: a C
 /// element accumulates one fused multiply-add per k step within a KC
-/// block and one alpha-scaled commit per block, so equal KC makes every
-/// same-ISA kernel bitwise-identical regardless of the geometry the
-/// autotuner picked (asserted in test_gemm_kernels.cpp).
+/// slab and one alpha-scaled commit per slab, so equal KC makes the AVX2
+/// and AVX-512 kernels bitwise-identical despite their different
+/// register tiles (asserted in test_gemm_kernels.cpp).
+///
+/// Whole-operand panels (pack_a_panels / pack_b_panels) are the staged
+/// format of the executor: a full tile packed once, as consecutive KC
+/// slabs, so the pre-packed GEMM entry (gemm.hpp) runs on it with no
+/// further copies. Slab pc (a multiple of kPackKC, depth kc) of an m-row
+/// A operand starts at offset pc * round_up(m, MR) and holds
+/// ceil(m / MR) panels of kc * MR doubles; B likewise with NR columns.
 
 #include <cstddef>
 #include <memory>
@@ -30,19 +35,20 @@
 
 namespace bstc {
 
-/// Register tile of the default (8x4) micro-kernel geometry.
+/// Register tile of the portable scalar kernel (the KernelGeometry
+/// default).
 constexpr Index kPackMR = 8;
 constexpr Index kPackNR = 4;
 
-/// Cache blocking of the default geometry: a KC x NR B panel stays in L1
-/// across the A panels, the packed MC x KC A block in L2, the packed
-/// KC x NC B block in L3. kPackKC is shared by every geometry (see above).
+/// Cache blocking: a KC x NR B panel stays in L1 across the A panels, the
+/// packed MC x KC A block in L2, the packed KC x NC B block in L3.
+/// kPackKC is shared by every kernel (see above).
 constexpr Index kPackMC = 128;
 constexpr Index kPackKC = 256;
 constexpr Index kPackNC = 512;
 
-/// Largest register tile any zoo geometry uses (arena sizing bound).
-constexpr Index kMaxPackMR = 12;
+/// Largest register tile any kernel uses (panel sizing bound).
+constexpr Index kMaxPackMR = 16;
 constexpr Index kMaxPackNR = 12;
 
 /// One micro-kernel geometry: the register tile (mr x nr) and the cache
@@ -55,14 +61,16 @@ struct KernelGeometry {
   Index nc = kPackNC;
 };
 
-/// Doubles needed for a packed mc x kc A block (rows rounded up to mr).
+/// Doubles needed for a packed mc x kc A block (rows rounded up to mr) —
+/// also the size of a whole m x k operand packed by pack_a_panels.
 constexpr std::size_t packed_a_doubles(Index mc, Index kc,
                                        Index mr = kPackMR) {
   return static_cast<std::size_t>((mc + mr - 1) / mr) *
          static_cast<std::size_t>(mr) * static_cast<std::size_t>(kc);
 }
 
-/// Doubles needed for a packed kc x nc B block (cols rounded up to nr).
+/// Doubles needed for a packed kc x nc B block (cols rounded up to nr) —
+/// also the size of a whole k x n operand packed by pack_b_panels.
 constexpr std::size_t packed_b_doubles(Index kc, Index nc,
                                        Index nr = kPackNR) {
   return static_cast<std::size_t>((nc + nr - 1) / nr) *
@@ -101,5 +109,16 @@ void pack_a(Index mc, Index kc, const double* a, Index lda, double* dst,
 /// past nc zero-padded. dst must hold packed_b_doubles(kc, nc, nr).
 void pack_b(Index kc, Index nc, const double* b, Index ldb, double* dst,
             Index nr = kPackNR);
+
+/// Pack a whole m x k column-major A operand as consecutive kPackKC slabs
+/// of mr-row panels (layout in the file comment). dst must hold
+/// packed_a_doubles(m, k, mr).
+void pack_a_panels(Index m, Index k, const double* a, Index lda, double* dst,
+                   Index mr);
+
+/// Pack a whole k x n column-major B operand as consecutive kPackKC slabs
+/// of nr-column panels. dst must hold packed_b_doubles(k, n, nr).
+void pack_b_panels(Index k, Index n, const double* b, Index ldb, double* dst,
+                   Index nr);
 
 }  // namespace bstc

@@ -2,11 +2,14 @@
 /// equivalence with a plain kContract request, agreement with the
 /// reference product, bitwise invariance under lowering-order and
 /// schedule seeds, the intermediate-reuse ablation, warm per-node
-/// sessions, and the bound-instance fingerprint.
+/// sessions, the bound-instance fingerprint, bitwise replay on three
+/// devices, and bind-time refusal of unexecutable programs.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bsm/block_sparse_matrix.hpp"
@@ -15,6 +18,7 @@
 #include "expr/programs.hpp"
 #include "service/local_service.hpp"
 #include "service/serve_api.hpp"
+#include "support/error.hpp"
 
 namespace bstc::expr {
 namespace {
@@ -206,6 +210,61 @@ TEST(ExprExec, LocalServiceRejectsUnknownProgram) {
   ServeOutcome out;
   EXPECT_EQ(local.ProgramRun(req, out), ServiceStatus::kInvalidRequest);
   EXPECT_FALSE(out.error.empty());
+}
+
+TEST(ExprExec, CcsdDoublesReplaysBitwiseOnThreeDevices) {
+  // Three device queues race to flush segmented-column partials of the
+  // skewed chemistry tiles; replaying one seed must reproduce the
+  // residual bit for bit.
+  ServeProblemSpec spec = ccsd_spec();
+  spec.m = 3;
+  spec.gpus = 3;
+  const NamedProgram np = build_named_program("ccsd-doubles", spec);
+  ContractionService svc;
+  ProgramRunner runner(
+      svc, bind_program(lower(np.program), np.machine, np.engine));
+  ProgramResult first;
+  ASSERT_EQ(runner.run(4711, first), ServiceStatus::kOk) << first.error;
+  for (int replay = 0; replay < 3; ++replay) {
+    ProgramResult again;
+    ASSERT_EQ(runner.run(4711, again), ServiceStatus::kOk) << again.error;
+    EXPECT_EQ(bsm_content_checksum(again.r), bsm_content_checksum(first.r))
+        << "replay " << replay;
+  }
+}
+
+TEST(ExprExec, BindRefusesUnexecutableNodeQuickly) {
+  // At 6 carbons a node's block leaves its 20 MB device no room for an A
+  // chunk. Binding must say which node, at once — not after the other
+  // nodes of every iteration have run.
+  ServeProblemSpec spec = ccsd_spec();
+  spec.m = 6;
+  const auto t0 = std::chrono::steady_clock::now();
+  const NamedProgram np = build_named_program("ccsd-doubles", spec);
+  try {
+    bind_program(lower(np.program), np.machine, np.engine);
+    FAIL() << "an unexecutable program was bound";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("program node "), std::string::npos) << what;
+    EXPECT_NE(what.find("no room for any A chunk"), std::string::npos)
+        << what;
+  }
+  const double s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  EXPECT_LT(s, 1.0);
+
+  // Served: the request is refused with the same message.
+  LocalService local;
+  ServeRequest req;
+  req.kind = ServeRequestKind::kProgramRun;
+  req.spec = spec;
+  req.program = "ccsd-doubles";
+  ServeOutcome out;
+  EXPECT_EQ(local.ProgramRun(req, out), ServiceStatus::kInvalidRequest);
+  EXPECT_NE(out.error.find("no room for any A chunk"), std::string::npos)
+      << out.error;
 }
 
 }  // namespace

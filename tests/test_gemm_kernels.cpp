@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -206,27 +207,31 @@ TEST(GemmKernels, ArenaGrowsAndAligns) {
 
 TEST(GemmKernels, DispatchReportsAKernel) {
   // Whatever the host, dispatch must resolve to a callable kernel whose
-  // reported name is derived from the dispatched zoo entry itself — the
-  // active ISA plus the default 8x4 geometry, never a hand-written
-  // string.
-  EXPECT_NE(active_microkernel(), nullptr);
-  EXPECT_NE(scalar_microkernel(), nullptr);
+  // reported name is derived from the dispatched table entry itself —
+  // the active ISA plus that ISA's one register geometry, never a
+  // hand-written string.
+  const MicroKernel& mk = active_microkernel();
+  EXPECT_NE(mk.fn, nullptr);
   const KernelIsa isa = active_kernel_isa();
-  if (isa >= KernelIsa::kAvx2) EXPECT_NE(avx2_microkernel(), nullptr);
-  const std::string expected =
-      std::string(kernel_isa_name(isa)) + "-8x4";
+  EXPECT_EQ(mk.isa, isa);
+  const char* geometry = isa == KernelIsa::kAvx512 ? "-16x12"
+                         : isa == KernelIsa::kAvx2 ? "-8x6"
+                                                   : "-8x4";
+  const std::string expected = std::string(kernel_isa_name(isa)) + geometry;
   EXPECT_EQ(gemm_kernel_name(), expected);
-  EXPECT_EQ(default_microkernel().name, expected);
-  EXPECT_EQ(default_microkernel().isa, isa);
-  EXPECT_EQ(default_microkernel().geom.mr, 8);
-  EXPECT_EQ(default_microkernel().geom.nr, 4);
+  EXPECT_EQ(mk.name, expected);
+  ASSERT_NE(microkernel_for(KernelIsa::kScalar), nullptr);
+  if (isa >= KernelIsa::kAvx2) {
+    EXPECT_NE(microkernel_for(KernelIsa::kAvx2), nullptr);
+  }
 }
 
 TEST(GemmKernels, ResolveRejectsUnknownKernelValues) {
   // A typo in BSTC_KERNEL must never silently fall back to
-  // autodetection.
-  for (const char* bad : {"avx", "AVX2", "sse2", "avx2-9x4", "avx2-8x5",
-                          "avx2-", "-8x4", "fastest", "avx512-13x3"}) {
+  // autodetection — and neither may a full kernel name: the ISA alone
+  // selects the kernel.
+  for (const char* bad : {"avx", "AVX2", "sse2", "avx2-8x6", "avx2-8x4",
+                          "avx512-16x12", "avx2-", "-8x4", "fastest"}) {
     EXPECT_THROW(resolve_kernel_choice(bad, KernelIsa::kAvx512), Error)
         << "accepted BSTC_KERNEL=" << bad;
   }
@@ -235,7 +240,6 @@ TEST(GemmKernels, ResolveRejectsUnknownKernelValues) {
     const KernelChoice c = resolve_kernel_choice(ok, KernelIsa::kAvx2);
     EXPECT_EQ(c.isa, KernelIsa::kAvx2);
     EXPECT_FALSE(c.downgraded);
-    EXPECT_TRUE(c.pinned_geometry.empty());
   }
 }
 
@@ -254,49 +258,44 @@ TEST(GemmKernels, ResolveDowngradesExplicitRequestsAboveHost) {
   c = resolve_kernel_choice("scalar", KernelIsa::kAvx512);
   EXPECT_EQ(c.isa, KernelIsa::kScalar);
   EXPECT_FALSE(c.downgraded);
-
-  // A full kernel name pins the geometry and follows the same ISA rules.
-  c = resolve_kernel_choice("avx512-8x6", KernelIsa::kAvx512);
-  EXPECT_EQ(c.isa, KernelIsa::kAvx512);
-  EXPECT_FALSE(c.downgraded);
-  EXPECT_EQ(c.pinned_geometry, "8x6");
-
-  c = resolve_kernel_choice("avx512-12x4", KernelIsa::kAvx2);
+  c = resolve_kernel_choice("avx2", KernelIsa::kAvx512);
   EXPECT_EQ(c.isa, KernelIsa::kAvx2);
-  EXPECT_TRUE(c.downgraded);
-  EXPECT_EQ(c.pinned_geometry, "12x4");
+  EXPECT_FALSE(c.downgraded);
 }
 
 TEST(GemmKernels, ZooEntriesAreConsistent) {
-  ASSERT_FALSE(microkernel_zoo().empty());
-  for (const MicroKernel& mk : microkernel_zoo()) {
+  // The kernel table: exactly one entry per compiled ISA, in ISA order.
+  ASSERT_FALSE(microkernels().empty());
+  EXPECT_EQ(microkernels().front().isa, KernelIsa::kScalar);
+  for (std::size_t i = 0; i < microkernels().size(); ++i) {
+    const MicroKernel& mk = microkernels()[i];
     EXPECT_NE(mk.fn, nullptr);
+    if (i > 0) {
+      EXPECT_LT(microkernels()[i - 1].isa, mk.isa) << mk.name;
+    }
     // Names are derived from the entry's own fields.
     const std::string expected = std::string(kernel_isa_name(mk.isa)) + "-" +
                                  std::to_string(mk.geom.mr) + "x" +
                                  std::to_string(mk.geom.nr);
     EXPECT_EQ(mk.name, expected);
     // Cache blocks tile evenly by the register tile, and every geometry
-    // fits the packing bound and shares the KC blocking.
+    // fits the panel sizing bound.
     EXPECT_EQ(mk.geom.mc % mk.geom.mr, 0) << mk.name;
     EXPECT_EQ(mk.geom.nc % mk.geom.nr, 0) << mk.name;
     EXPECT_LE(mk.geom.mr, kMaxPackMR) << mk.name;
     EXPECT_LE(mk.geom.nr, kMaxPackNR) << mk.name;
-    EXPECT_EQ(find_microkernel(mk.name), &mk);
+    EXPECT_EQ(microkernel_for(mk.isa), &mk);
   }
-  for (const MicroKernel& mk : microkernels_for_isa(active_kernel_isa())) {
-    EXPECT_EQ(mk.isa, active_kernel_isa());
-  }
-  EXPECT_EQ(find_microkernel("avx2-9x9"), nullptr);
+  EXPECT_EQ(&active_microkernel(), microkernel_for(active_kernel_isa()));
 }
 
 TEST(GemmKernels, EveryZooKernelMatchesNaiveOnFringeLattice) {
-  // The whole zoo — every ISA this host can run, every geometry — against
-  // the naive reference over shapes straddling each geometry's register
-  // tile and the cache-block edges.
+  // Every kernel this host can run against the naive reference over
+  // shapes straddling each geometry's register tile (8x4, 8x6, 16x12)
+  // and the cache-block edges.
   Rng rng(404);
-  const std::vector<Index> extents = {1, 3, 5, 8, 11, 13, 24, 129};
-  for (const MicroKernel& mk : microkernel_zoo()) {
+  const std::vector<Index> extents = {1, 3, 5, 8, 11, 13, 16, 17, 24, 129};
+  for (const MicroKernel& mk : microkernels()) {
     if (mk.isa > host_best_isa()) continue;  // not executable here
     int trial = 0;
     for (const Index m : extents) {
@@ -318,45 +317,41 @@ TEST(GemmKernels, EveryZooKernelMatchesNaiveOnFringeLattice) {
 }
 
 TEST(GemmKernels, SameIsaGeometriesAreBitwiseIdentical) {
-  // The autotuner's license to switch geometries freely: within one ISA
-  // every geometry accumulates each C element in the same k order with
-  // the same per-KC-block commit, so results are bitwise-identical. The
-  // vector ISAs (AVX2 and AVX-512 both run FMA chains) are additionally
-  // bitwise-identical to each other.
+  // Kernels of one rounding family produce identical bits whatever their
+  // register geometry: each C element is the same k-ascending FMA chain
+  // with one alpha-FMA commit per kPackKC slab. With one kernel per ISA
+  // this is the AVX2 8x6 kernel against the AVX-512 16x12 kernel — the
+  // license for the executor to pick either ISA without moving a bit.
+  const MicroKernel* avx2 = microkernel_for(KernelIsa::kAvx2);
+  const MicroKernel* avx512 = microkernel_for(KernelIsa::kAvx512);
+  if (avx2 == nullptr || avx512 == nullptr ||
+      host_best_isa() < KernelIsa::kAvx512) {
+    GTEST_SKIP() << "host cannot run both vector kernels";
+  }
+  EXPECT_EQ(avx2->geom.mr, 8);
+  EXPECT_EQ(avx2->geom.nr, 6);
+  EXPECT_EQ(avx512->geom.mr, 16);
+  EXPECT_EQ(avx512->geom.nr, 12);
   Rng rng(808);
-  const Index shapes[][3] = {{37, 300, 25}, {8, 8, 8}, {130, 29, 61},
-                             {5, 513, 12}};
+  const Index shapes[][3] = {{37, 300, 25}, {8, 8, 8},   {130, 29, 61},
+                             {5, 513, 12},  {16, 256, 12}, {17, 257, 13},
+                             {96, 600, 50}};
   for (const auto& s : shapes) {
     const Index m = s[0], k = s[1], n = s[2];
     const Tile a = random_tile(m, k, rng);
     const Tile b = random_tile(k, n, rng);
     const Tile c_init = random_tile(m, n, rng);
-    const KernelIsa host = host_best_isa();
-    // Group references: one C per "rounding family" (scalar mul+add vs
-    // vector FMA).
-    Tile c_scalar_ref, c_vector_ref;
-    for (const MicroKernel& mk : microkernel_zoo()) {
-      if (mk.isa > host) continue;
-      Tile c = c_init;
-      gemm_view_with(mk, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(),
-                     0.5, c.data(), c.ld());
-      Tile& ref = mk.isa == KernelIsa::kScalar ? c_scalar_ref : c_vector_ref;
-      if (ref.size() == 0) {
-        ref = c;
-        continue;
+    Tile c2 = c_init, c5 = c_init;
+    gemm_view_with(*avx2, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(),
+                   0.5, c2.data(), c2.ld());
+    gemm_view_with(*avx512, m, n, k, 1.0, a.data(), a.ld(), b.data(),
+                   b.ld(), 0.5, c5.data(), c5.ld());
+    for (Index j = 0; j < n; ++j) {
+      for (Index i = 0; i < m; ++i) {
+        EXPECT_EQ(c2.at(i, j), c5.at(i, j))
+            << "avx2-8x6 and avx512-16x12 differ bitwise at (" << i << ","
+            << j << ") for m=" << m << " k=" << k << " n=" << n;
       }
-      for (Index j = 0; j < n; ++j) {
-        for (Index i = 0; i < m; ++i) {
-          EXPECT_EQ(c.at(i, j), ref.at(i, j))
-              << mk.name << " differs bitwise at (" << i << "," << j
-              << ") for m=" << m << " k=" << k << " n=" << n;
-        }
-      }
-    }
-    // Across the families, FMA contraction may differ in the last ulps.
-    if (c_scalar_ref.size() != 0 && c_vector_ref.size() != 0) {
-      EXPECT_LT(c_scalar_ref.max_abs_diff(c_vector_ref),
-                1e-12 * static_cast<double>(k + 1));
     }
   }
 }
@@ -366,36 +361,31 @@ TEST(GemmKernels, BatchSkipsRedundantAPacksBitwiseEqual) {
   // accumulation pattern) must not re-pack A — and the skip must be
   // invisible in the results.
   Rng rng(31);
-  const Index m = 61, k = 300, n = 45;  // two mc blocks, two kc blocks
+  const Index m = 61, k = 300, n = 45;  // two kc slabs
   const Tile a = random_tile(m, k, rng);
   const Tile a2 = random_tile(m, k, rng);
   const Tile b = random_tile(k, n, rng);
   const Tile c_init = random_tile(m, n, rng);
 
   // Reference: the same batch computed one item at a time through the
-  // same kernel (per-call path packs A for every item unconditionally).
-  const MicroKernel& mk = default_microkernel();
+  // per-call path, which packs A for every call unconditionally.
   Tile e1 = c_init, e2 = c_init, e3 = c_init;
-  gemm_view_with(mk, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.5,
-                 e1.data(), e1.ld());
-  gemm_view_with(mk, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.5,
-                 e2.data(), e2.ld());
-  gemm_view_with(mk, m, n, k, 1.0, a2.data(), a2.ld(), b.data(), b.ld(), 0.5,
-                 e3.data(), e3.ld());
+  gemm_view(m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.5, e1.data(),
+            e1.ld());
+  gemm_view(m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.5, e2.data(),
+            e2.ld());
+  gemm_view(m, n, k, 1.0, a2.data(), a2.ld(), b.data(), b.ld(), 0.5,
+            e3.data(), e3.ld());
 
   Tile c1 = c_init, c2 = c_init, c3 = c_init;
   const std::vector<GemmBatchItem> items = {{&a, &c1}, {&a, &c2}, {&a2, &c3}};
   const std::uint64_t packs_before = gemm_batch_a_pack_count();
-  gemm_batch_with(mk, 1.0, items, b, 0.5);
+  gemm_batch(1.0, items, b, 0.5);
   const std::uint64_t packs = gemm_batch_a_pack_count() - packs_before;
 
-  // Block math: ceil(61/mc)=1 mc block, ceil(300/256)=2 kc blocks, and the
-  // A-pack cache survives the jc loop. Two distinct A tiles -> 2 tiles *
-  // 1 mc * 2 kc = 4 packs; the naive count (every item, every jc) would
-  // be 3 items * 2 kc * ceil(45/nc = 1) = 6.
-  const std::uint64_t mc_blocks = (m + mk.geom.mc - 1) / mk.geom.mc;
-  const std::uint64_t kc_blocks = (k + kPackKC - 1) / kPackKC;
-  EXPECT_EQ(packs, 2 * mc_blocks * kc_blocks);
+  // Each A tile is packed whole (every kc slab at once): two distinct
+  // consecutive A tiles -> 2 packs, not one per item.
+  EXPECT_EQ(packs, 2u);
 
   // And the skip is bitwise-invisible: batch output == per-call output.
   for (Index j = 0; j < n; ++j) {
@@ -408,24 +398,111 @@ TEST(GemmKernels, BatchSkipsRedundantAPacksBitwiseEqual) {
 }
 
 TEST(GemmKernels, ScalarAndActiveKernelsAgree) {
-  // The scalar micro-kernel is the portable reference for the vector one:
-  // run one packed panel through both and compare exactly at the C level.
+  // The scalar kernel is the portable reference for the vector one: run
+  // the same product through both (each with its own panel geometry) and
+  // compare at the C level.
   Rng rng(55);
-  const Index kc = 23;
-  Tile a(kPackMR, kc), b(kc, kPackNR);
-  a.fill_random(rng);
-  b.fill_random(rng);
-  std::vector<double> ap(packed_a_doubles(kPackMR, kc));
-  std::vector<double> bp(packed_b_doubles(kc, kPackNR));
-  pack_a(kPackMR, kc, a.data(), a.ld(), ap.data());
-  pack_b(kc, kPackNR, b.data(), b.ld(), bp.data());
-  Tile c_scalar(kPackMR, kPackNR), c_active(kPackMR, kPackNR);
-  scalar_microkernel()(kc, 1.0, ap.data(), bp.data(), c_scalar.data(),
-                       c_scalar.ld(), kPackMR, kPackNR);
-  active_microkernel()(kc, 1.0, ap.data(), bp.data(), c_active.data(),
-                       c_active.ld(), kPackMR, kPackNR);
+  const Index m = 37, k = 23, n = 29;
+  const Tile a = random_tile(m, k, rng);
+  const Tile b = random_tile(k, n, rng);
+  Tile c_scalar(m, n), c_active(m, n);
+  const MicroKernel* scalar = microkernel_for(KernelIsa::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  gemm_view_with(*scalar, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(),
+                 0.0, c_scalar.data(), c_scalar.ld());
+  gemm_view(m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.0,
+            c_active.data(), c_active.ld());
   // FMA contraction can differ from separate mul+add at the last ulp.
-  EXPECT_LT(c_scalar.max_abs_diff(c_active), 1e-13 * static_cast<double>(kc));
+  EXPECT_LT(c_scalar.max_abs_diff(c_active), 1e-13 * static_cast<double>(k));
+}
+
+TEST(GemmKernels, PrePackedBatchIsBitwiseEqualToGemmBatch) {
+  // The executor's path: operands packed once as whole-tile panels (the
+  // staging step), then gemm_batch_packed with no packing. It must
+  // reproduce gemm_batch bit for bit over a fringe lattice (m, n off the
+  // 16/12 and 8/6 register tiles), depths past one kPackKC slab, and
+  // operands that are views over external storage (the zero-copy shm
+  // path) rather than owned tiles.
+  const KernelGeometry& g = active_microkernel().geom;
+  Rng rng(1212);
+  for (const Index k : {Index{1}, Index{7}, kPackKC, kPackKC + 1,
+                        2 * kPackKC + 37}) {
+    for (const Index n : {Index{1}, Index{5}, Index{13}, Index{25},
+                          Index{36}}) {
+      const std::vector<Index> ms = {1, 15, 17, 33, 100};
+      // External storage for every operand; tiles below are views.
+      std::vector<double> bstore(static_cast<std::size_t>(k * n));
+      for (double& v : bstore) v = rng.uniform(-1.0, 1.0);
+      const Tile b = Tile::view(bstore.data(), k, n);
+      std::vector<std::vector<double>> astore;
+      std::vector<Tile> as, c_batch, c_packed;
+      for (const Index m : ms) {
+        astore.emplace_back(static_cast<std::size_t>(m * k));
+        for (double& v : astore.back()) v = rng.uniform(-1.0, 1.0);
+        as.push_back(Tile::view(astore.back().data(), m, k));
+        c_batch.push_back(random_tile(m, n, rng));
+        c_packed.push_back(c_batch.back());
+      }
+
+      std::vector<GemmBatchItem> items;
+      for (std::size_t t = 0; t < ms.size(); ++t) {
+        items.push_back({&as[t], &c_batch[t]});
+      }
+      gemm_batch(0.75, items, b, 1.0);
+
+      std::vector<double> bpanels(packed_b_doubles(k, n, g.nr));
+      pack_b_panels(k, n, b.data(), b.ld(), bpanels.data(), g.nr);
+      std::vector<std::vector<double>> apanels;
+      std::vector<PackedGemmItem> packed;
+      for (std::size_t t = 0; t < ms.size(); ++t) {
+        const Tile& view = as[t];
+        apanels.emplace_back(packed_a_doubles(ms[t], k, g.mr));
+        pack_a_panels(ms[t], k, view.data(), view.ld(), apanels.back().data(),
+                      g.mr);
+        packed.push_back({apanels.back().data(), ms[t], c_packed[t].data(),
+                          c_packed[t].ld()});
+      }
+      gemm_batch_packed(0.75, packed, bpanels.data(), k, n);
+
+      for (std::size_t t = 0; t < ms.size(); ++t) {
+        for (Index j = 0; j < n; ++j) {
+          for (Index i = 0; i < ms[t]; ++i) {
+            ASSERT_EQ(c_packed[t].at(i, j), c_batch[t].at(i, j))
+                << "m=" << ms[t] << " k=" << k << " n=" << n << " at (" << i
+                << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmKernels, WholeOperandPanelsAreSlabMajor) {
+  // pack_a_panels / pack_b_panels lay a whole operand out as consecutive
+  // kPackKC slabs, each slab pc starting at pc * round_up(extent, tile):
+  // the offsets the executor fixes when it builds the task graph.
+  Rng rng(77);
+  const Index m = 19, n = 7, k = kPackKC + 9, mr = 16, nr = 12;
+  const Tile a = random_tile(m, k, rng);
+  const Tile b = random_tile(k, n, rng);
+  std::vector<double> ap(packed_a_doubles(m, k, mr), -1.0);
+  std::vector<double> bp(packed_b_doubles(k, n, nr), -1.0);
+  pack_a_panels(m, k, a.data(), a.ld(), ap.data(), mr);
+  pack_b_panels(k, n, b.data(), b.ld(), bp.data(), nr);
+  const Index mpad = 32, npad = 12;
+  for (Index l = 0; l < k; ++l) {
+    const Index pc = l / kPackKC * kPackKC, kc = std::min(kPackKC, k - pc);
+    for (Index i = 0; i < mpad; ++i) {
+      const double v = ap[static_cast<std::size_t>(
+          pc * mpad + (i / mr) * kc * mr + (l - pc) * mr + i % mr)];
+      EXPECT_EQ(v, i < m ? a.at(i, l) : 0.0) << "A(" << i << "," << l << ")";
+    }
+    for (Index j = 0; j < npad; ++j) {
+      const double v = bp[static_cast<std::size_t>(pc * npad + (l - pc) * nr +
+                                                   j)];
+      EXPECT_EQ(v, j < n ? b.at(l, j) : 0.0) << "B(" << l << "," << j << ")";
+    }
+  }
 }
 
 }  // namespace

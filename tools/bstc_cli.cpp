@@ -7,7 +7,8 @@
 ///   abcd         the C65H132-style chemistry workload (any chain length)
 ///   xyz          a molecule from an .xyz file
 ///   plan         build a plan and print its structure/statistics
-///   execute      run the REAL engine on a small synthetic problem + verify
+///   execute      run the REAL engine on a host-sized synthetic problem +
+///                verify (refused up front if it cannot fit in host memory)
 ///   serve-batch  drive the ContractionService with a scripted request mix
 ///   program-run  iterate a named contraction program (multi-term DAG)
 ///   store-build  materialize a spec's B tiles into a shared-memory store
@@ -67,6 +68,7 @@
 #include "support/args.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
+#include "support/host_memory.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
@@ -110,6 +112,13 @@ const CommandInfo kCommands[] = {
     {"execute", "run the real engine and verify the product",
      "usage: bstc_cli execute [options]\n"
      "  --m --n --k --density --tile-lo --tile-hi   problem geometry\n"
+     "                       (defaults 1024, 4096, n, 0.5, 64, 256 on\n"
+     "                       --gpus 3: well under a second on a\n"
+     "                       4-core workstation)\n"
+     "  --host-mem BYTES     host memory bound for admission (default:\n"
+     "                       MemAvailable); a larger predicted footprint\n"
+     "                       (A + B cache + C + stage arenas) is refused\n"
+     "                       before anything is allocated\n"
      "  --verify true|false  compare against the reference product\n"
      "  --trace FILE.json    write a Chrome-tracing timeline (tasks only)\n"
      "  --trace-out F.json   write a unified obs trace (tasks + plan spans)\n"},
@@ -240,13 +249,23 @@ struct SynthProblem {
   Shape a, b, c;
 };
 
-SynthProblem make_problem(const Args& args) {
-  const Index m = args.get_int("m", 48000);
-  const Index n = args.get_int("n", 192000);
+/// Problem-geometry defaults: the simulator's are the paper's Summit-scale
+/// synthetic product; `execute` runs for real on this host, so its
+/// defaults are the ledger's abcd problem at half its extents.
+struct ProblemDefaults {
+  Index m, n, tile_lo, tile_hi;
+};
+constexpr ProblemDefaults kSummitScale{48000, 192000, 512, 2048};
+constexpr ProblemDefaults kHostScale{1024, 4096, 64, 256};
+
+SynthProblem make_problem(const Args& args,
+                          const ProblemDefaults& d = kSummitScale) {
+  const Index m = args.get_int("m", d.m);
+  const Index n = args.get_int("n", d.n);
   const Index k = args.get_int("k", n);
   const double density = args.get_double("density", 0.5);
-  const Index tile_lo = args.get_int("tile-lo", 512);
-  const Index tile_hi = args.get_int("tile-hi", 2048);
+  const Index tile_lo = args.get_int("tile-lo", d.tile_lo);
+  const Index tile_hi = args.get_int("tile-hi", d.tile_hi);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
   SynthProblem p;
   p.mt = Tiling::random_uniform(m, tile_lo, tile_hi, rng);
@@ -258,13 +277,17 @@ SynthProblem make_problem(const Args& args) {
   return p;
 }
 
-MachineModel make_machine(const Args& args) {
+/// --gpus G selects one node of G GPUs, --nodes N (default 16) a Summit
+/// partition; `single_node_gpus` > 0 makes G the default instead.
+MachineModel make_machine(const Args& args, int single_node_gpus = 0) {
   args.allow({"nodes", "gpus", "gpu-mem"});
+  const bool one_node =
+      args.has("gpus") || (single_node_gpus > 0 && !args.has("nodes"));
   MachineModel machine =
-      args.has("gpus")
-          ? MachineModel::summit_gpus(
-                static_cast<int>(args.get_int("gpus", 6)))
-          : MachineModel::summit(static_cast<int>(args.get_int("nodes", 16)));
+      one_node ? MachineModel::summit_gpus(static_cast<int>(args.get_int(
+                     "gpus", single_node_gpus > 0 ? single_node_gpus : 6)))
+               : MachineModel::summit(
+                     static_cast<int>(args.get_int("nodes", 16)));
   machine.node.gpu.memory_bytes =
       args.get_double("gpu-mem", machine.node.gpu.memory_bytes);
   return machine;
@@ -459,18 +482,51 @@ void write_local_trace(const std::string& path) {
 int cmd_execute(const Args& args) {
   const std::string trace_out = args.get("trace-out", "");
   if (!trace_out.empty()) obs::Registry::instance().set_enabled(true);
-  const SynthProblem p = make_problem(args);
-  const MachineModel machine = make_machine(args);
+  const SynthProblem p = make_problem(args, kHostScale);
+  const MachineModel machine = make_machine(args, 3);
   EngineConfig cfg;
   cfg.plan = make_plan_config(args);
   cfg.trace_path = args.get("trace", "");
+
+  // Admission: plan first and predict the host footprint, so a problem
+  // that cannot fit is refused before A is materialized or B generated.
+  const ExecutionPlan plan = build_plan(p.a, p.b, p.c, machine, cfg.plan);
+  const HostFootprint footprint = predict_host_footprint(
+      plan, compute_stats(plan, p.a, p.b, p.c), p.a, p.b, p.c,
+      machine.node.gpu.memory_bytes);
+  const double host_mem =
+      args.get_double("host-mem", available_host_memory_bytes());
+  std::printf("footprint      %s predicted (A %s, B cache %s, C %s, stage "
+              "%s); host %s\n",
+              fmt_bytes(footprint.total()).c_str(),
+              fmt_bytes(footprint.a_bytes).c_str(),
+              fmt_bytes(footprint.b_cache_bytes).c_str(),
+              fmt_bytes(footprint.c_bytes).c_str(),
+              fmt_bytes(footprint.stage_bytes).c_str(),
+              host_mem > 0.0 ? fmt_bytes(host_mem).c_str() : "unknown");
+  if (host_mem > 0.0) admit_host_footprint(footprint, host_mem);
+
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 1);
   const BlockSparseMatrix a = BlockSparseMatrix::random(p.a, rng);
   const TileGenerator b_gen = random_tile_generator(p.b, 1234);
-  const EngineResult result =
-      contract(a, p.b, b_gen, p.c, nullptr, machine, cfg);
-  std::printf("tasks          %zu in %s\n", result.tasks_executed,
-              fmt_duration(result.wall_seconds).c_str());
+  obs::Registry& reg = obs::Registry::instance();
+  const auto counter = [&reg](const char* name) {
+    const auto all = reg.counters();
+    const auto it = all.find(name);
+    return it == all.end() ? 0.0 : static_cast<double>(it->second);
+  };
+  const EngineResult result = contract_with_plan(
+      plan, a, p.b, b_gen, p.c, nullptr, machine, cfg);
+  std::printf("tasks          %zu in %s (%s)\n", result.tasks_executed,
+              fmt_duration(result.wall_seconds).c_str(),
+              fmt_flops(counter("bstc_gemm_flops_total") /
+                        result.wall_seconds)
+                  .c_str());
+  std::printf("staging        %s packed as panels, %s of it padding; "
+              "%s GEMM\n",
+              fmt_bytes(counter("bstc_stage_packed_bytes_total")).c_str(),
+              fmt_bytes(counter("bstc_stage_pad_bytes_total")).c_str(),
+              fmt_flop_count(counter("bstc_gemm_flops_total")).c_str());
   std::printf("B generations  at most %zu per node\n",
               result.b_max_generations);
   std::printf("A broadcast    %s, C return %s\n",
