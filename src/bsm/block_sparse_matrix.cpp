@@ -9,9 +9,49 @@
 namespace bstc {
 
 BlockSparseMatrix::BlockSparseMatrix(Shape shape) : shape_(std::move(shape)) {
+  place_tiles({});
+}
+
+BlockSparseMatrix BlockSparseMatrix::adopt(Shape shape,
+                                           std::vector<PlacedTile> tiles) {
+  BlockSparseMatrix m;
+  m.shape_ = std::move(shape);
+  for (const PlacedTile& t : tiles) {
+    BSTC_REQUIRE(t.row < m.shape_.tile_rows() &&
+                     t.col < m.shape_.tile_cols() &&
+                     m.shape_.nonzero(t.row, t.col),
+                 "adopt: tile outside the shape's sparsity pattern");
+    BSTC_REQUIRE(t.tile.rows() == m.row_tiling().tile_extent(t.row) &&
+                     t.tile.cols() == m.col_tiling().tile_extent(t.col),
+                 "adopt: tile extents disagree with the tilings");
+    BSTC_REQUIRE(!t.tile.is_view(), "adopt: cannot take ownership of a view");
+  }
+  const auto block_of = [](const PlacedTile& t) {
+    return std::pair(t.row, t.col);
+  };
+  std::sort(tiles.begin(), tiles.end(),
+            [&](const PlacedTile& x, const PlacedTile& y) {
+              return block_of(x) < block_of(y);
+            });
+  BSTC_REQUIRE(std::adjacent_find(tiles.begin(), tiles.end(),
+                                  [&](const PlacedTile& x,
+                                      const PlacedTile& y) {
+                                    return block_of(x) == block_of(y);
+                                  }) == tiles.end(),
+               "adopt: two tiles for one block");
+  m.place_tiles(std::move(tiles));
+  return m;
+}
+
+void BlockSparseMatrix::place_tiles(std::vector<PlacedTile> sorted) {
+  auto next = sorted.begin();
   for (std::size_t r = 0; r < shape_.tile_rows(); ++r) {
     for (std::size_t c = 0; c < shape_.tile_cols(); ++c) {
-      if (shape_.nonzero(r, c)) {
+      if (!shape_.nonzero(r, c)) continue;
+      if (next != sorted.end() && next->row == r && next->col == c) {
+        tiles_.emplace(key(r, c), std::move(next->tile));
+        ++next;
+      } else {
         tiles_.emplace(key(r, c), Tile(row_tiling().tile_extent(r),
                                        col_tiling().tile_extent(c)));
       }

@@ -5,11 +5,19 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "shape/shape.hpp"
 #include "tile/tile.hpp"
 
 namespace bstc {
+
+/// A tile with its block coordinates, as handed to BlockSparseMatrix::adopt.
+struct PlacedTile {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  Tile tile;
+};
 
 /// Owning block-sparse matrix. Tiles exist exactly for the nonzero blocks
 /// of the shape; zero blocks are implicit.
@@ -20,6 +28,13 @@ class BlockSparseMatrix {
 
   /// All nonzero tiles allocated and zero-initialised.
   explicit BlockSparseMatrix(Shape shape);
+
+  /// Takes ownership of already computed tiles by move, without copying
+  /// their data; nonzero blocks of `shape` missing from `tiles` are
+  /// zero-allocated. Throws on a tile at a zero (or out-of-range) block,
+  /// a tile whose extents disagree with the tilings, a view tile, or two
+  /// tiles for one block.
+  static BlockSparseMatrix adopt(Shape shape, std::vector<PlacedTile> tiles);
 
   /// All nonzero tiles filled with uniform random values in [-1,1).
   static BlockSparseMatrix random(Shape shape, Rng& rng);
@@ -55,6 +70,12 @@ class BlockSparseMatrix {
   std::uint64_t key(std::size_t r, std::size_t c) const {
     return static_cast<std::uint64_t>(r) * shape_.tile_cols() + c;
   }
+  /// Inserts every nonzero block in row-major order: the next tile of
+  /// `sorted` (validated, ascending (row, col)) when it is that block's,
+  /// else a zero tile. One insertion order for every matrix keeps the map's
+  /// iteration order, and with it the rounding of whole-matrix reductions
+  /// such as norm(), independent of the order tiles were computed in.
+  void place_tiles(std::vector<PlacedTile> sorted);
 
   Shape shape_;
   std::unordered_map<std::uint64_t, Tile> tiles_;

@@ -47,7 +47,8 @@ struct Unmap {
 /// A regions each hold one chunk's A tiles packed as MR panels, chunk ci
 /// of a block landing in slot ci % depth. Every size and offset is fixed
 /// from the plan before the graph is built, and the memory is allocated
-/// untouched, so pages fault in only where panels actually land.
+/// untouched, so pages fault in only where panels actually land — 2 MB
+/// at a time where the host grants transparent huge pages.
 struct StageArena {
   std::size_t b_doubles = 0;     ///< largest block's B panels
   std::size_t slot_doubles = 0;  ///< largest chunk's A panels
@@ -61,12 +62,16 @@ struct StageArena {
 
   /// Maps the arena straight from the OS: page-aligned, untouched until a
   /// panel lands, and returned whole when the call ends, so a staging
-  /// pool never lingers in (or fragments) the allocator's heap.
+  /// pool never lingers in (or fragments) the allocator's heap. The
+  /// huge-page advice cuts the faults of packing into fresh pages 512x;
+  /// it is advice only, so its failure is ignored and a host with THP off
+  /// simply keeps 4 KB pages.
   void allocate() {
     if (bytes() == 0) return;
     void* p = ::mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     BSTC_REQUIRE(p != MAP_FAILED, "stage arena allocation failed");
+    (void)::madvise(p, bytes(), MADV_HUGEPAGE);
     mem = std::unique_ptr<double, Unmap>(static_cast<double*>(p),
                                          Unmap{bytes()});
   }
@@ -195,6 +200,10 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   require_executable(plan, machine.node.gpu.memory_bytes);
 
   Timer timer;
+  // The serial head (state, stage layout, graph) and tail (assembly) of
+  // the call are phase spans on the caller's lane, beside the task spans.
+  obs::Registry& reg = obs::Registry::instance();
+  const double build_start = reg.now();
   const int num_nodes = plan.grid.nodes();
   // Tile homes are 2D-cyclic over grid *slots*; the grid's layout maps
   // slots to ranks (identity unless a node-aware permutation was planned).
@@ -666,8 +675,9 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   BSTC_CHECK(graph.is_acyclic());
+  reg.record(obs::Category::kPhase, "engine.build_graph", obs::thread_lane(),
+             build_start, reg.now());
   TraceRecorder trace;
-  obs::Registry& reg = obs::Registry::instance();
   const bool want_trace = !cfg.trace_path.empty() || reg.enabled();
   // TraceRecorder times are relative to run_graph entry; anchor them to
   // the registry epoch so task spans line up with comm/barrier spans.
@@ -680,8 +690,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                   static_cast<std::uint64_t>(stage_pad_bytes));
   reg.counter_add("bstc_gemm_flops_total",
                   static_cast<std::uint64_t>(gemm_flops));
-  // Unmap the arenas before assembly, so the staged panels and the
-  // assembled C never coexist.
+  // The result needs no staged panel: return the arenas before assembly.
   stage.arenas.clear();
   if (!cfg.trace_path.empty()) trace.write_chrome_json(cfg.trace_path);
   if (reg.enabled()) {
@@ -693,24 +702,27 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   // --- Assemble the global C and count return traffic. ---
+  // The C tiles `load` allocated and `store` moved into c_store become the
+  // result's tiles by move; only nonzero tiles no GEMM reached are
+  // allocated here, and C is never built a second time.
+  const double assemble_start = reg.now();
   EngineResult result;
-  result.c = BlockSparseMatrix(c_shape);
+  std::vector<PlacedTile> computed;
   for (int n = 0; n < num_nodes; ++n) {
     if (distributed && n != cfg.local_rank) continue;
     NodeState& ns = node_states[static_cast<std::size_t>(n)];
     const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
+    const int self = plan.grid.node_id(node_plan.grid_row, node_plan.grid_col);
     for (auto& [key, tile] : ns.c_store) {
       const auto i = static_cast<std::uint32_t>(key >> 32);
       const auto j = static_cast<std::uint32_t>(key & 0xffffffffu);
       result.computed_c_tiles.emplace_back(i, j);
-      result.c.tile(i, j).axpy(1.0, tile);
       const int home = plan.grid.home_of(i, j);
-      if (home != plan.grid.node_id(node_plan.grid_row, node_plan.grid_col)) {
-        comm.record(plan.grid.node_id(node_plan.grid_row, node_plan.grid_col),
-                    home, static_cast<double>(tile.bytes()));
+      if (home != self) {
+        comm.record(self, home, static_cast<double>(tile.bytes()));
         result.c_network_bytes += static_cast<double>(tile.bytes());
       }
-      tile = Tile();  // folded into the result: return its memory now
+      computed.push_back({i, j, std::move(tile)});
     }
     result.b_max_generations =
         std::max(result.b_max_generations, ns.b->max_generation_count());
@@ -719,6 +731,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
   // c_store is hash-ordered; sort so the recorded set is deterministic.
   std::sort(result.computed_c_tiles.begin(), result.computed_c_tiles.end());
+  // adopt refuses a C tile that two nodes computed.
+  result.c = BlockSparseMatrix::adopt(c_shape, std::move(computed));
   if (c_init != nullptr) {
     for (std::size_t i = 0; i < c_shape.tile_rows(); ++i) {
       for (std::size_t j = 0; j < c_shape.tile_cols(); ++j) {
@@ -741,6 +755,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   for (const auto& dev : devices) {
     result.device_peak_bytes.push_back(dev->peak_used());
   }
+  reg.record(obs::Category::kPhase, "engine.assemble", obs::thread_lane(),
+             assemble_start, reg.now());
   result.wall_seconds = timer.elapsed_s();
   return result;
 }
@@ -754,7 +770,24 @@ HostFootprint predict_host_footprint(const ExecutionPlan& plan,
   HostFootprint f;
   f.a_bytes = a_shape.nnz_bytes();
   f.b_cache_bytes = stats.b_generated_bytes;
-  f.c_bytes = 2.0 * c_shape.nnz_bytes();
+  // C once — its tiles move from the devices into the result — plus, per
+  // device, its largest block's C: the tiles in flight on the device, and
+  // a segmented column's later partial held beside the stored one until
+  // it is reduced.
+  f.c_bytes = c_shape.nnz_bytes();
+  for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
+    std::vector<double> block_c_peak(
+        static_cast<std::size_t>(plan.gpus_of_node[n]), 0.0);
+    for (const BlockPlan& block : plan.nodes[n].blocks) {
+      std::set<std::uint32_t> cols;
+      double block_c = 0.0;
+      for (const ColumnPiece& piece : block.pieces) {
+        if (cols.insert(piece.col).second) block_c += piece.c_bytes;
+      }
+      block_c_peak[block.gpu] = std::max(block_c_peak[block.gpu], block_c);
+    }
+    for (const double bytes : block_c_peak) f.c_bytes += bytes;
+  }
   const StageLayout stage =
       layout_stage(plan, a_shape, b_shape, gpu_memory_bytes, -1);
   for (const StageArena& arena : stage.arenas) {

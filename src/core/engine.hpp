@@ -142,7 +142,9 @@ struct HostFootprint {
   double b_cache_bytes = 0.0;  ///< B-cache high-water: every B tile the
                                ///< nodes generate, since generation may run
                                ///< ahead of staging
-  double c_bytes = 0.0;        ///< per-node C stores plus the assembled C
+  double c_bytes = 0.0;        ///< C once (device C tiles move into the
+                               ///< result) plus each device's largest
+                               ///< block C in flight beside it
   double stage_bytes = 0.0;    ///< every device's stage arena (packed
                                ///< panels, register-tile padding included)
 

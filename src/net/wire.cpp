@@ -141,6 +141,9 @@ std::string WireReader::str() {
 
 void WireReader::raw(void* out, std::size_t size) {
   BSTC_REQUIRE(size <= remaining(), "wire: truncated payload");
+  // A zero-extent tile has no storage: memcpy with its null pointer is
+  // undefined even for zero bytes.
+  if (size == 0) return;
   std::memcpy(out, data_ + pos_, size);
   pos_ += size;
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -30,6 +31,72 @@ TEST(BlockSparseMatrix, AllocatesExactlyNonzeroTiles) {
   EXPECT_THROW(m.tile(0, 0), Error);
   EXPECT_EQ(m.tile(0, 1).rows(), 2);
   EXPECT_EQ(m.tile(0, 1).cols(), 5);
+}
+
+TEST(BlockSparseMatrix, AdoptTakesTilesWithoutCopy) {
+  Shape s(tiles({2, 3}), tiles({4, 5}));
+  s.set(0, 1);
+  s.set(1, 0);
+  s.set(1, 1);
+  Tile computed(2, 5);
+  computed.fill(7.0);
+  const double* data = computed.data();
+  std::vector<PlacedTile> placed;
+  placed.push_back({0, 1, std::move(computed)});
+  const BlockSparseMatrix m = BlockSparseMatrix::adopt(s, std::move(placed));
+  // The computed tile is the matrix's tile: same storage, not a copy.
+  EXPECT_EQ(m.tile(0, 1).data(), data);
+  EXPECT_DOUBLE_EQ(m.tile(0, 1).at(1, 4), 7.0);
+  // Nonzero tiles nothing computed are allocated zero; zero blocks stay
+  // implicit.
+  EXPECT_EQ(m.bytes(), (2u * 5 + 3u * 4 + 3u * 5) * 8);
+  EXPECT_DOUBLE_EQ(m.tile(1, 0).norm(), 0.0);
+  EXPECT_DOUBLE_EQ(m.tile(1, 1).norm(), 0.0);
+  EXPECT_EQ(m.tile(1, 1).rows(), 3);
+  EXPECT_FALSE(m.has_tile(0, 0));
+
+  const auto adopt_one = [&s](std::size_t r, std::size_t c, Tile t) {
+    std::vector<PlacedTile> v;
+    v.push_back({r, c, std::move(t)});
+    return BlockSparseMatrix::adopt(s, std::move(v));
+  };
+  EXPECT_THROW(adopt_one(0, 0, Tile(2, 4)), Error);  // zero block
+  EXPECT_THROW(adopt_one(2, 0, Tile(2, 4)), Error);  // past the tiling
+  EXPECT_THROW(adopt_one(0, 1, Tile(5, 2)), Error);  // wrong extents
+  const std::vector<double> external(10, 1.0);
+  EXPECT_THROW(adopt_one(0, 1, Tile::view(external.data(), 2, 5)), Error);
+  std::vector<PlacedTile> twice;
+  twice.push_back({1, 0, Tile(3, 4)});
+  twice.push_back({1, 0, Tile(3, 4)});
+  EXPECT_THROW(BlockSparseMatrix::adopt(s, std::move(twice)), Error);
+
+  // Whatever order the tiles arrive in, the matrix reduces over them in
+  // one order: norm() is bitwise that of the same values filled in place.
+  Rng rng(5);
+  const BlockSparseMatrix ref =
+      BlockSparseMatrix::random(Shape::dense(Tiling::uniform(24, 2),
+                                             Tiling::uniform(24, 3)),
+                                rng);
+  const auto placed_in = [&ref](bool reversed) {
+    std::vector<PlacedTile> v;
+    for (std::size_t r = 0; r < ref.shape().tile_rows(); ++r) {
+      for (std::size_t c = 0; c < ref.shape().tile_cols(); ++c) {
+        Tile t = ref.tile(r, c);
+        t.at(0, 0) *= static_cast<double>(1 + r * 37 + c * 11);
+        v.push_back({r, c, std::move(t)});
+      }
+    }
+    if (reversed) std::reverse(v.begin(), v.end());
+    return v;
+  };
+  BlockSparseMatrix in_place(ref.shape());
+  for (PlacedTile& t : placed_in(false)) in_place.tile(t.row, t.col) = t.tile;
+  const double forward =
+      BlockSparseMatrix::adopt(ref.shape(), placed_in(false)).norm();
+  const double backward =
+      BlockSparseMatrix::adopt(ref.shape(), placed_in(true)).norm();
+  EXPECT_EQ(forward, in_place.norm());
+  EXPECT_EQ(backward, in_place.norm());
 }
 
 TEST(BlockSparseMatrix, ElementAccessTreatsZeroBlocksAsZero) {

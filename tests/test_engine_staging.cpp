@@ -1,18 +1,23 @@
 /// Executor staging and reduction-order tests: segmented-column C
 /// partials must reduce in ascending block order however the devices
-/// race, unexecutable plans must be refused before any work, problems
-/// too large for host memory must be refused before any allocation, and
-/// the staging counters must describe what the packed stage arenas moved.
+/// race, the computed C tiles must become the result unchanged, unexecutable
+/// plans must be refused before any work, problems too large for host
+/// memory must be refused before any allocation, and the staging counters
+/// must describe what the packed stage arenas moved.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bsm/block_sparse_matrix.hpp"
+#include "comm/transport.hpp"
 #include "core/engine.hpp"
 #include "obs/obs.hpp"
 #include "plan/builder.hpp"
@@ -51,21 +56,40 @@ struct SegmentedProblem {
   Shape c_shape;
 };
 
+bool bitwise_equal(const Tile& x, const Tile& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (Index c = 0; c < x.cols(); ++c) {
+    for (Index r = 0; r < x.rows(); ++r) {
+      if (x.at(r, c) != y.at(r, c)) return false;
+    }
+  }
+  return true;
+}
+
 bool bitwise_equal(const BlockSparseMatrix& x, const BlockSparseMatrix& y) {
   const Shape& s = x.shape();
   for (std::size_t i = 0; i < s.tile_rows(); ++i) {
     for (std::size_t j = 0; j < s.tile_cols(); ++j) {
       if (!s.nonzero(i, j)) continue;
-      const Tile& tx = x.tile(i, j);
-      const Tile& ty = y.tile(i, j);
-      for (Index c = 0; c < tx.cols(); ++c) {
-        for (Index r = 0; r < tx.rows(); ++r) {
-          if (tx.at(r, c) != ty.at(r, c)) return false;
-        }
-      }
+      if (!bitwise_equal(x.tile(i, j), y.tile(i, j))) return false;
     }
   }
   return true;
+}
+
+/// True when some B column's pieces sit on three distinct devices of
+/// node 0, so three of its C partials race to reduce.
+bool spreads_a_column_over_three_devices(const ExecutionPlan& plan) {
+  std::map<std::uint32_t, std::set<std::uint32_t>> gpus_of_col;
+  for (const BlockPlan& block : plan.nodes[0].blocks) {
+    for (const ColumnPiece& piece : block.pieces) {
+      gpus_of_col[piece.col].insert(block.gpu);
+    }
+  }
+  for (const auto& [col, gpus] : gpus_of_col) {
+    if (gpus.size() >= 3) return true;
+  }
+  return false;
 }
 
 TEST(EngineStaging, SegmentedColumnReducesInBlockOrderOnThreeDevices) {
@@ -107,6 +131,107 @@ TEST(EngineStaging, SegmentedColumnReducesInBlockOrderOnThreeDevices) {
     EXPECT_TRUE(bitwise_equal(r.c, reference.c))
         << "replay " << replay << " reduced the partials out of order";
   }
+}
+
+TEST(EngineStaging, AssembledCIsBitwiseUnchanged) {
+  // The computed C tiles become the result by move and C_init is added in
+  // place: a run with C_init must equal the run without it plus
+  // Tile::axpy(C_init), bit for bit. B gets a fourth, empty column whose
+  // C tile (1, 3) is nonzero in C's shape but reached by no GEMM.
+  const SegmentedProblem p;
+  const Tiling nt = Tiling::uniform(128, 32);
+  Shape b_shape(p.kt, nt);
+  for (std::size_t k = 0; k < b_shape.tile_rows(); ++k) {
+    for (std::size_t j = 0; j < 3; ++j) b_shape.set(k, j);
+  }
+  const TileGenerator b_gen = random_tile_generator(b_shape, 4242);
+  Shape c_shape = contract_shape(p.a.shape(), b_shape);
+  ASSERT_FALSE(c_shape.nonzero(1, 3));
+  c_shape.set(1, 3);
+  Rng rng(7);
+  const BlockSparseMatrix c_init = BlockSparseMatrix::random(c_shape, rng);
+
+  const MachineModel machine = SegmentedProblem::machine(3);
+  const ExecutionPlan plan =
+      build_plan(p.a.shape(), b_shape, c_shape, machine, {});
+  ASSERT_TRUE(spreads_a_column_over_three_devices(plan));
+  const EngineResult bare = contract_with_plan(
+      plan, p.a, b_shape, b_gen, c_shape, nullptr, machine, {});
+  const EngineResult with_init = contract_with_plan(
+      plan, p.a, b_shape, b_gen, c_shape, &c_init, machine, {});
+  BlockSparseMatrix expected = bare.c;
+  for (std::size_t i = 0; i < c_shape.tile_rows(); ++i) {
+    for (std::size_t j = 0; j < c_shape.tile_cols(); ++j) {
+      if (c_shape.nonzero(i, j)) {
+        expected.tile(i, j).axpy(1.0, c_init.tile(i, j));
+      }
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(with_init.c, expected));
+  EXPECT_EQ(bare.c.tile(1, 3).norm(), 0.0);
+  EXPECT_TRUE(bitwise_equal(with_init.c.tile(1, 3), c_init.tile(1, 3)));
+
+  // Two ranks: no C tile is computed by both. Each running only its own
+  // share against one shared in-process transport returns exactly its own
+  // computed tiles, bitwise equal to the all-ranks run, and zeros
+  // everywhere else.
+  MachineModel two = MachineModel::summit(2);
+  two.node.gpus = 3;
+  two.gpu_total = 6;
+  two.node.gpu.memory_bytes = 2.0e5;
+  const ExecutionPlan plan2 =
+      build_plan(p.a.shape(), b_shape, c_shape, two, {});
+  const EngineResult all = contract_with_plan(plan2, p.a, b_shape, b_gen,
+                                              c_shape, nullptr, two, {});
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> once(
+      all.computed_c_tiles.begin(), all.computed_c_tiles.end());
+  EXPECT_EQ(once.size(), all.computed_c_tiles.size())
+      << "a C tile was computed by two nodes";
+  Transport transport(2);
+  std::vector<EngineResult> ranks(2);
+  std::vector<std::exception_ptr> errors(2);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      EngineConfig cfg;
+      cfg.transport = &transport;
+      cfg.local_rank = r;
+      try {
+        ranks[static_cast<std::size_t>(r)] = contract_with_plan(
+            plan2, p.a, b_shape, b_gen, c_shape, nullptr, two, cfg);
+      } catch (...) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  std::multiset<std::pair<std::uint32_t, std::uint32_t>> union_of_ranks;
+  for (const EngineResult& rank : ranks) {
+    const std::set<std::pair<std::uint32_t, std::uint32_t>> own(
+        rank.computed_c_tiles.begin(), rank.computed_c_tiles.end());
+    EXPECT_FALSE(own.empty());
+    EXPECT_LT(own.size(), all.computed_c_tiles.size());
+    for (std::size_t i = 0; i < c_shape.tile_rows(); ++i) {
+      for (std::size_t j = 0; j < c_shape.tile_cols(); ++j) {
+        if (!c_shape.nonzero(i, j)) continue;
+        const Tile& t = rank.c.tile(i, j);
+        if (own.count({static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(j)}) != 0) {
+          EXPECT_TRUE(bitwise_equal(t, all.c.tile(i, j)));
+        } else {
+          EXPECT_EQ(t.norm(), 0.0);
+        }
+      }
+    }
+    union_of_ranks.insert(own.begin(), own.end());
+  }
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> partition(
+      union_of_ranks.begin(), union_of_ranks.end());
+  EXPECT_EQ(partition, all.computed_c_tiles)
+      << "the ranks' computed tiles must partition the all-ranks set";
 }
 
 TEST(EngineStaging, PlanWithoutRoomForAChunkFailsBeforeAnyWork) {
@@ -220,7 +345,9 @@ TEST(EngineStaging, FootprintPredictionBoundsASmallRun) {
                              machine.node.gpu.memory_bytes);
   EXPECT_DOUBLE_EQ(f.a_bytes, p.a.shape().nnz_bytes());
   EXPECT_DOUBLE_EQ(f.b_cache_bytes, st.b_generated_bytes);
-  EXPECT_DOUBLE_EQ(f.c_bytes, 2.0 * p.c_shape.nnz_bytes());
+  // C once, plus one block's C per device: three devices, each block
+  // holding one 64 x 32 column of C.
+  EXPECT_DOUBLE_EQ(f.c_bytes, p.c_shape.nnz_bytes() + 3 * 64.0 * 32 * 8);
   // Per device: one block's B plus two chunk slots, never more than the
   // device itself holds beyond register-tile padding.
   EXPECT_GT(f.stage_bytes, 0.0);
