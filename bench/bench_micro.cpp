@@ -6,7 +6,6 @@
 
 #include "plan/builder.hpp"
 #include "plan/column_assignment.hpp"
-#include "runtime/ptg.hpp"
 #include "runtime/scheduler.hpp"
 #include "shape/shape_algebra.hpp"
 #include "tile/gemm.hpp"
@@ -103,30 +102,6 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_SchedulerThroughput)->Arg(1000)->Arg(10000);
-
-void BM_PtgThroughput(benchmark::State& state) {
-  // Tasks/second of the lazily-unrolled PTG runtime on a chain per queue.
-  const auto n = static_cast<std::int64_t>(state.range(0));
-  for (auto _ : state) {
-    PtgProgram program;
-    program.classes.push_back(TaskClass{
-        "step", [](const PtgParams& p) {
-          return static_cast<std::uint32_t>(p[1]);
-        },
-        [](const PtgParams&) {},
-        [](const PtgParams& p) { return p[0] == 0 ? 0u : 1u; },
-        [n](const PtgParams& p) {
-          std::vector<PtgTaskRef> next;
-          if (p[0] + 1 < n) next.push_back({0, {p[0] + 1, p[1]}});
-          return next;
-        }});
-    program.roots.push_back({0, {0, 0}});
-    program.roots.push_back({0, {0, 1}});
-    run_ptg(program, 2);
-  }
-  state.SetItemsProcessed(2 * n * state.iterations());
-}
-BENCHMARK(BM_PtgThroughput)->Arg(1000)->Arg(5000);
 
 void BM_FullInspector(benchmark::State& state) {
   const ShapePair s =

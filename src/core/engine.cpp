@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,7 +18,6 @@
 #include "runtime/device.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/trace.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 #include "tile/gemm.hpp"
@@ -677,13 +677,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   BSTC_CHECK(graph.is_acyclic());
   reg.record(obs::Category::kPhase, "engine.build_graph", obs::thread_lane(),
              build_start, reg.now());
-  TraceRecorder trace;
-  const bool want_trace = !cfg.trace_path.empty() || reg.enabled();
-  // TraceRecorder times are relative to run_graph entry; anchor them to
-  // the registry epoch so task spans line up with comm/barrier spans.
-  const double trace_base = reg.enabled() ? reg.now() : 0.0;
-  const SchedulerStats sched =
-      run_graph(graph, num_queues, want_trace ? &trace : nullptr);
+  const SchedulerStats sched = run_graph(graph, num_queues);
   reg.counter_add("bstc_stage_packed_bytes_total",
                   static_cast<std::uint64_t>(stage_packed_bytes));
   reg.counter_add("bstc_stage_pad_bytes_total",
@@ -692,14 +686,6 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                   static_cast<std::uint64_t>(gemm_flops));
   // The result needs no staged panel: return the arenas before assembly.
   stage.arenas.clear();
-  if (!cfg.trace_path.empty()) trace.write_chrome_json(cfg.trace_path);
-  if (reg.enabled()) {
-    for (const TraceEvent& e : trace.events()) {
-      reg.record(obs::Category::kTask, e.name, e.queue,
-                 trace_base + e.start_s, trace_base + e.end_s);
-      reg.name_lane(e.queue, "queue " + std::to_string(e.queue));
-    }
-  }
 
   // --- Assemble the global C and count return traffic. ---
   // The C tiles `load` allocated and `store` moved into c_store become the

@@ -37,10 +37,6 @@ namespace bstc {
 /// Engine configuration.
 struct EngineConfig {
   PlanConfig plan;  ///< inspector knobs (grid rows, memory fractions)
-  /// When non-empty, a Chrome-tracing JSON of every executed task is
-  /// written to this path after the run (open in chrome://tracing or
-  /// Perfetto; each queue appears as one thread).
-  std::string trace_path;
   /// When true, remote A tiles travel as explicit tile messages: the home
   /// rank runs send tasks into per-rank mailboxes and consumers block
   /// until arrival — reproducing the paper's background broadcast

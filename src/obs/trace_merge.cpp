@@ -10,13 +10,27 @@
 namespace bstc::obs {
 namespace {
 
-std::string escape(const std::string& s) {
-  std::string out;
+/// Append `s` as the body of a JSON string. Span and lane names arrive
+/// from peer ranks, so quotes, backslashes and every control byte are
+/// escaped: the file stays valid JSON, one event per line, for any name.
+void append_escaped(std::string& out, const std::string& s) {
   for (const char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
+    const auto byte = static_cast<unsigned char>(ch);
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else if (ch == '\t') {
+      out += "\\t";
+    } else if (byte < 0x20) {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\u%04x", byte);
+      out += hex;
+    } else {
+      out += ch;
+    }
   }
-  return out;
 }
 
 }  // namespace
@@ -43,11 +57,16 @@ std::string merge_traces_json(const std::vector<RankTrace>& ranks) {
   });
 
   std::string out = "{\"traceEvents\":[\n";
+  // Holds the fixed-width fields only; names are appended to `out`
+  // directly, so no name length can truncate an event.
   char buf[512];
   bool first = true;
-  const auto emit = [&](const std::string& line) {
+  const auto next_event = [&] {
     if (!first) out += ",\n";
     first = false;
+  };
+  const auto emit = [&](const char* line) {
+    next_event();
     out += line;
   };
   for (const RankTrace& rt : ranks) {
@@ -74,21 +93,25 @@ std::string merge_traces_json(const std::vector<RankTrace>& ranks) {
     for (const auto& [lane, name] : rt.lane_names) {
       std::snprintf(buf, sizeof buf,
                     "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,"
-                    "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
-                    rt.rank, lane, escape(name).c_str());
+                    "\"tid\":%u,\"args\":{\"name\":\"",
+                    rt.rank, lane);
       emit(buf);
+      append_escaped(out, name);
+      out += "\"}}";
     }
   }
   for (const Event& e : events) {
     const Span& s = *e.span;
+    next_event();
+    out += "{\"name\":\"";
+    append_escaped(out, s.name);
     std::snprintf(
         buf, sizeof buf,
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":%u,"
+        "\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":%u,"
         "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"bytes\":%llu}}",
-        escape(s.name).c_str(), category_name(s.category), e.pid, s.lane,
-        (e.ts_s - min_ts) * 1e6, (s.end_s - s.start_s) * 1e6,
-        static_cast<unsigned long long>(s.bytes));
-    emit(buf);
+        category_name(s.category), e.pid, s.lane, (e.ts_s - min_ts) * 1e6,
+        (s.end_s - s.start_s) * 1e6, static_cast<unsigned long long>(s.bytes));
+    out += buf;
   }
   out += "\n]}\n";
   return out;

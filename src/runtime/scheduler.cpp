@@ -5,9 +5,11 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -30,8 +32,7 @@ struct RunState {
 
 }  // namespace
 
-SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
-                         TraceRecorder* trace) {
+SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues) {
   BSTC_REQUIRE(num_queues > 0, "need at least one queue");
   BSTC_REQUIRE(graph.is_acyclic(), "task graph has a cycle");
   for (std::size_t t = 0; t < graph.size(); ++t) {
@@ -40,6 +41,13 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
   }
 
   Timer timer;
+  obs::Registry& reg = obs::Registry::instance();
+  const bool trace = reg.enabled();
+  if (trace) {
+    for (std::uint32_t q = 0; q < num_queues; ++q) {
+      reg.name_lane(q, "queue " + std::to_string(q));
+    }
+  }
   RunState state(num_queues);
   std::vector<std::uint32_t> deps(graph.size());
   {
@@ -52,7 +60,7 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
     }
   }
 
-  auto worker = [&graph, &state, &deps, &timer, trace](std::uint32_t queue) {
+  auto worker = [&graph, &state, &deps, &reg, trace](std::uint32_t queue) {
     std::unique_lock lock(state.mutex);
     while (true) {
       state.cv.wait(lock, [&] {
@@ -66,9 +74,11 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
 
       try {
         const TaskNode& node = graph.task(id);
-        const double start = trace ? timer.elapsed_s() : 0.0;
+        const double start = trace ? reg.now() : 0.0;
         if (node.body) node.body();
-        if (trace) trace->record(node.name, queue, start, timer.elapsed_s());
+        if (trace) {
+          reg.record(obs::Category::kTask, node.name, queue, start, reg.now());
+        }
       } catch (...) {
         lock.lock();
         if (!state.error) state.error = std::current_exception();

@@ -39,8 +39,9 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
     const auto trace_span = [&](const std::string& name, std::uint32_t gpu,
                                 double start, double end) {
       if (cfg.trace != nullptr) {
-        cfg.trace->record(name, static_cast<std::uint32_t>(gpu_base) + gpu,
-                          start, end);
+        cfg.trace->push_back(obs::Span{
+            name, obs::Category::kTask,
+            static_cast<std::uint32_t>(gpu_base) + gpu, start, end});
       }
     };
 

@@ -27,9 +27,9 @@
 #include <vector>
 
 #include "machine/machine.hpp"
+#include "obs/obs.hpp"
 #include "plan/plan.hpp"
 #include "plan/stats.hpp"
-#include "runtime/trace.hpp"
 #include "shape/shape.hpp"
 
 namespace bstc {
@@ -56,11 +56,11 @@ struct SimConfig {
   /// tile-grained A broadcast (many-MB point-to-point messages fanning
   /// out along grid rows, not a tree collective).
   double network_efficiency = 0.5;
-  /// When non-null, the simulator records every piece staging, chunk load
-  /// and chunk compute span into this recorder (one "thread" per GPU in
-  /// chrome://tracing) — the predicted timeline counterpart of the real
-  /// engine's trace_path.
-  TraceRecorder* trace = nullptr;
+  /// When non-null, the simulator appends every piece staging, chunk load,
+  /// chunk compute and C flush as an obs::Category::kTask span on lane =
+  /// global GPU index, in virtual seconds — the predicted counterpart of
+  /// the engine's task spans (obs::write_merged_trace writes them out).
+  std::vector<obs::Span>* trace = nullptr;
 };
 
 /// Per-GPU outcome.

@@ -178,30 +178,46 @@ TEST(Engine, StationaryBNeverCrossesNodes) {
 }
 
 TEST(Engine, ScreenedCSkipsWork) {
-  EngineHarness h(40, 120, 120, 1.0, 1.0, 37);
-  // Screen: keep only even (i+j) C tiles.
-  Shape screened(h.c_shape.row_tiling(), h.c_shape.col_tiling());
-  for (std::size_t i = 0; i < h.c_shape.tile_rows(); ++i) {
-    for (std::size_t j = 0; j < h.c_shape.tile_cols(); ++j) {
-      if (h.c_shape.nonzero(i, j) && (i + j) % 2 == 0) screened.set(i, j);
-    }
-  }
-  MachineModel machine = MachineModel::summit_gpus(1);
-  machine.node.gpu.memory_bytes = 1.0e6;
-  EngineConfig cfg;
-  const EngineResult result = contract(h.a, h.b_shape, h.b_gen, screened,
-                                       nullptr, machine, cfg);
-  const ContractionStats full = contraction_stats(h.a.shape(), h.b_shape);
-  EXPECT_LT(result.plan_stats.gemm_tasks, full.gemm_tasks);
-  // Screened tiles match the reference restricted to the screen.
-  const BlockSparseMatrix expected = h.reference();
-  for (std::size_t i = 0; i < screened.tile_rows(); ++i) {
-    for (std::size_t j = 0; j < screened.tile_cols(); ++j) {
-      if (screened.nonzero(i, j)) {
-        EXPECT_LT(result.c.tile(i, j).max_abs_diff(expected.tile(i, j)),
-                  1e-10);
+  const auto check = [](const EngineHarness& h, const MachineModel& machine,
+                        const EngineConfig& cfg) {
+    // Screen: keep only even (i+j) C tiles.
+    Shape screened(h.c_shape.row_tiling(), h.c_shape.col_tiling());
+    for (std::size_t i = 0; i < h.c_shape.tile_rows(); ++i) {
+      for (std::size_t j = 0; j < h.c_shape.tile_cols(); ++j) {
+        if (h.c_shape.nonzero(i, j) && (i + j) % 2 == 0) screened.set(i, j);
       }
     }
+    const EngineResult result = contract(h.a, h.b_shape, h.b_gen, screened,
+                                         nullptr, machine, cfg);
+    const ContractionStats full = contraction_stats(h.a.shape(), h.b_shape);
+    EXPECT_LT(result.plan_stats.gemm_tasks, full.gemm_tasks);
+    // Screened tiles match the reference restricted to the screen.
+    const BlockSparseMatrix expected = h.reference();
+    for (std::size_t i = 0; i < screened.tile_rows(); ++i) {
+      for (std::size_t j = 0; j < screened.tile_cols(); ++j) {
+        if (screened.nonzero(i, j)) {
+          EXPECT_LT(result.c.tile(i, j).max_abs_diff(expected.tile(i, j)),
+                    1e-10);
+        }
+      }
+    }
+  };
+  {
+    SCOPED_TRACE("1 device, default policies");
+    EngineHarness h(40, 120, 120, 1.0, 1.0, 37);
+    MachineModel machine = MachineModel::summit_gpus(1);
+    machine.node.gpu.memory_bytes = 1.0e6;
+    check(h, machine, EngineConfig{});
+  }
+  {
+    SCOPED_TRACE("2 devices, first-fit packing, prefetch depth 1");
+    EngineHarness h(48, 160, 160, 1.0, 1.0, 53);
+    MachineModel machine = MachineModel::summit_gpus(2);
+    machine.node.gpu.memory_bytes = 5.0e5;
+    EngineConfig cfg;
+    cfg.plan.packing = PackingPolicy::kFirstFit;
+    cfg.plan.prefetch_depth = 1;
+    check(h, machine, cfg);
   }
 }
 

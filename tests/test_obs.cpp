@@ -147,5 +147,35 @@ TEST(Obs, MergeAlignsClocksSortsAndNormalizes) {
   EXPECT_NE(json.find("\"pid\":1,\"tid\":3"), std::string::npos);
 }
 
+TEST(Obs, MergeEscapesControlCharsAndKeepsLongNames) {
+  // Names reach the merger from peer ranks: any byte may appear and any
+  // length. Each must come out whole, escaped, on its own line.
+  const std::string long_name(1000, 'x');
+  RankTrace rt;
+  rt.spans.push_back(Span{long_name, Category::kTask, 0, 0.0, 1.0, 0});
+  rt.spans.push_back(
+      Span{"ctl\n\t\x01\"\\", Category::kTask, 1, 0.5, 1.0, 0});
+  rt.lane_names[1] = "lane\n\t\x01\"";
+
+  const std::string json = merge_traces_json({rt});
+  EXPECT_NE(json.find("{\"name\":\"" + long_name + "\",\"cat\":\"task\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"ctl\\n\\t\\u0001\\\"\\\\\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"lane\\n\\t\\u0001\\\"\"}}"),
+            std::string::npos);
+  // No raw control byte except the line breaks between events.
+  std::size_t lines = 0;
+  for (const char ch : json) {
+    if (ch == '\n') {
+      ++lines;
+      continue;
+    }
+    EXPECT_GE(static_cast<unsigned char>(ch), 0x20u);
+  }
+  // Header, 3 process metadata events, 1 lane name, 2 spans, footer.
+  EXPECT_EQ(lines, 8u);
+}
+
 }  // namespace
 }  // namespace bstc::obs

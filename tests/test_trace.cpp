@@ -1,66 +1,81 @@
-/// Tests for the trace recorder and its integration with the scheduler
-/// and the contraction engine.
+/// Tests for task tracing: the scheduler records every task body as an
+/// obs span on its queue lane, and the engine's traced run yields one
+/// task span per executed task.
+///
+/// The registry is process-global, so every test that enables it cleans
+/// up with clear() + set_enabled(false).
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "bsm/block_sparse_matrix.hpp"
 #include "core/engine.hpp"
+#include "obs/obs.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/trace.hpp"
 #include "shape/shape_algebra.hpp"
 
 namespace bstc {
 namespace {
 
-TEST(Trace, RecordsSpansAndBusyTime) {
-  TraceRecorder trace;
-  trace.record("a", 0, 0.0, 1.0);
-  trace.record("b", 1, 0.5, 2.0);
-  trace.record("c", 0, 1.0, 1.25);
-  EXPECT_EQ(trace.size(), 3u);
-  const auto busy = trace.busy_per_queue();
-  ASSERT_EQ(busy.size(), 2u);
-  EXPECT_DOUBLE_EQ(busy[0], 1.25);
-  EXPECT_DOUBLE_EQ(busy[1], 1.5);
-}
+struct TracingOn {
+  TracingOn() {
+    obs::Registry::instance().clear();
+    obs::Registry::instance().set_enabled(true);
+  }
+  ~TracingOn() {
+    obs::Registry::instance().clear();
+    obs::Registry::instance().set_enabled(false);
+  }
+};
 
-TEST(Trace, ChromeJsonWellFormed) {
-  TraceRecorder trace;
-  trace.record("task \"quoted\"", 2, 0.0, 0.001);
-  const std::string json = trace.to_chrome_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
-  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":1000.000"), std::string::npos);  // us
+std::vector<obs::Span> task_spans() {
+  std::vector<obs::Span> out;
+  for (obs::Span& s : obs::Registry::instance().spans()) {
+    if (s.category == obs::Category::kTask && s.lane < obs::kThreadLaneBase) {
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
 }
 
 TEST(Trace, SchedulerRecordsEveryTask) {
-  TaskGraph graph;
-  const TaskId a = graph.add_task("first", 0, [] {});
-  const TaskId b = graph.add_task("second", 1, [] {});
-  graph.add_edge(a, b);
-  TraceRecorder trace;
-  run_graph(graph, 2, &trace);
-  ASSERT_EQ(trace.size(), 2u);
-  const auto events = trace.events();
-  // Order of collection may vary; find by name.
-  const TraceEvent* first = nullptr;
-  const TraceEvent* second = nullptr;
-  for (const TraceEvent& e : events) {
-    if (e.name == "first") first = &e;
-    if (e.name == "second") second = &e;
+  {
+    TracingOn tracing;
+    TaskGraph graph;
+    const TaskId a = graph.add_task("first", 0, [] {});
+    const TaskId b = graph.add_task("second", 1, [] {});
+    graph.add_edge(a, b);
+    run_graph(graph, 2);
+    const std::vector<obs::Span> spans = task_spans();
+    ASSERT_EQ(spans.size(), 2u);
+    // Order of collection may vary; find by name.
+    const obs::Span* first = nullptr;
+    const obs::Span* second = nullptr;
+    for (const obs::Span& s : spans) {
+      if (s.name == "first") first = &s;
+      if (s.name == "second") second = &s;
+    }
+    ASSERT_NE(first, nullptr);
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(first->lane, 0u);
+    EXPECT_EQ(second->lane, 1u);
+    EXPECT_LE(first->start_s, first->end_s);
+    EXPECT_LE(second->start_s, second->end_s);
+    EXPECT_LE(first->end_s, second->start_s);
+    const auto lanes = obs::Registry::instance().lane_names();
+    EXPECT_EQ(lanes.at(0), "queue 0");
+    EXPECT_EQ(lanes.at(1), "queue 1");
   }
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(second, nullptr);
-  EXPECT_LE(first->end_s, second->end_s);
-  EXPECT_GE(second->start_s, 0.0);
+
+  // With the registry disabled the scheduler records nothing.
+  obs::Registry::instance().clear();
+  TaskGraph graph;
+  graph.add_task("untraced", 0, [] {});
+  run_graph(graph, 1);
+  EXPECT_TRUE(obs::Registry::instance().spans().empty());
+  EXPECT_TRUE(obs::Registry::instance().lane_names().empty());
 }
 
-TEST(Trace, EngineWritesTraceFile) {
+TEST(Trace, EngineRecordsOneTaskSpanPerExecutedTask) {
   Rng rng(3);
   const Tiling mt = Tiling::uniform(24, 8);
   const Tiling kt = Tiling::uniform(48, 8);
@@ -70,51 +85,37 @@ TEST(Trace, EngineWritesTraceFile) {
   const Shape c_shape = contract_shape(a_shape, b_shape);
   const BlockSparseMatrix a = BlockSparseMatrix::random(a_shape, rng);
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "bstc_engine_trace.json")
-          .string();
+  TracingOn tracing;
   MachineModel machine = MachineModel::summit_gpus(2);
   machine.node.gpu.memory_bytes = 1e5;
-  EngineConfig cfg;
-  cfg.trace_path = path;
   const EngineResult result =
       contract(a, b_shape, random_tile_generator(b_shape, 9), c_shape,
-               nullptr, machine, cfg);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("gemmbatch("), std::string::npos);
-  EXPECT_NE(content.find("chunkload("), std::string::npos);
-  EXPECT_NE(content.find("store("), std::string::npos);
-  // One JSON object per executed task.
-  std::size_t count = 0;
-  for (std::size_t pos = 0; (pos = content.find("\"ph\":\"X\"", pos)) !=
-                            std::string::npos;
-       ++pos) {
-    ++count;
-  }
-  EXPECT_EQ(count, result.tasks_executed);
+               nullptr, machine, EngineConfig{});
+  const std::vector<obs::Span> spans = task_spans();
+  EXPECT_EQ(spans.size(), result.tasks_executed);
+  const auto has_prefix = [&spans](const std::string& prefix) {
+    for (const obs::Span& s : spans) {
+      if (s.name.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_prefix("gemmbatch("));
+  EXPECT_TRUE(has_prefix("chunkload("));
+  EXPECT_TRUE(has_prefix("store("));
 
   // Every task name must carry balanced parentheses — malformed names
   // (a "chunkload(n0,b1,2" with no closing paren) corrupt downstream
   // trace tooling silently.
-  for (std::size_t pos = 0;
-       (pos = content.find("\"name\":\"", pos)) != std::string::npos;) {
-    pos += 8;
-    const std::size_t end = content.find('"', pos);
-    ASSERT_NE(end, std::string::npos);
-    const std::string name = content.substr(pos, end - pos);
+  for (const obs::Span& s : spans) {
+    EXPECT_LE(s.start_s, s.end_s);
     int depth = 0;
-    for (const char ch : name) {
+    for (const char ch : s.name) {
       if (ch == '(') ++depth;
       if (ch == ')') --depth;
-      ASSERT_GE(depth, 0) << "unbalanced parens in task name: " << name;
+      ASSERT_GE(depth, 0) << "unbalanced parens in task name: " << s.name;
     }
-    EXPECT_EQ(depth, 0) << "unbalanced parens in task name: " << name;
-    pos = end;
+    EXPECT_EQ(depth, 0) << "unbalanced parens in task name: " << s.name;
   }
-  std::filesystem::remove(path);
 }
 
 }  // namespace

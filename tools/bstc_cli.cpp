@@ -120,8 +120,9 @@ const CommandInfo kCommands[] = {
      "                       (A + B cache + C + stage arenas) is refused\n"
      "                       before anything is allocated\n"
      "  --verify true|false  compare against the reference product\n"
-     "  --trace FILE.json    write a Chrome-tracing timeline (tasks only)\n"
-     "  --trace-out F.json   write a unified obs trace (tasks + plan spans)\n"},
+     "  --trace-out F.json   write a Chrome/Perfetto trace: one task span\n"
+     "                       per executed task on its queue lane, plus the\n"
+     "                       plan and engine phase spans\n"},
     {"launch", "run the distributed executor as real OS processes",
      "usage: bstc_cli launch [options]\n"
      "  --np N               rank processes, one per grid node (default 4)\n"
@@ -486,7 +487,6 @@ int cmd_execute(const Args& args) {
   const MachineModel machine = make_machine(args, 3);
   EngineConfig cfg;
   cfg.plan = make_plan_config(args);
-  cfg.trace_path = args.get("trace", "");
 
   // Admission: plan first and predict the host footprint, so a problem
   // that cannot fit is refused before A is materialized or B generated.
