@@ -31,6 +31,30 @@ struct WireCounterSnapshot {
   std::uint64_t bcast_frames_sent = 0;      ///< kBcast roots
   std::uint64_t bcast_fwd_frames_sent = 0;  ///< kBcastFwd relays
   std::uint64_t shm_publishes = 0;          ///< staging-ring publish calls
+
+  /// What accrued since `base`, an earlier snapshot of the same counters.
+  /// A rank reports its own traffic this way: a forked process inherits
+  /// its parent's totals, and threaded users share one instance, so the
+  /// process-wide counters are never reset.
+  WireCounterSnapshot since(const WireCounterSnapshot& base) const {
+    WireCounterSnapshot d;
+    d.frames_sent = frames_sent - base.frames_sent;
+    d.frames_received = frames_received - base.frames_received;
+    d.bytes_sent = bytes_sent - base.bytes_sent;
+    d.bytes_received = bytes_received - base.bytes_received;
+    d.connect_retries = connect_retries - base.connect_retries;
+    d.reconnects = reconnects - base.reconnects;
+    d.a_payload_inter_bytes =
+        a_payload_inter_bytes - base.a_payload_inter_bytes;
+    d.a_payload_intra_bytes =
+        a_payload_intra_bytes - base.a_payload_intra_bytes;
+    d.shm_payload_bytes = shm_payload_bytes - base.shm_payload_bytes;
+    d.bcast_frames_sent = bcast_frames_sent - base.bcast_frames_sent;
+    d.bcast_fwd_frames_sent =
+        bcast_fwd_frames_sent - base.bcast_fwd_frames_sent;
+    d.shm_publishes = shm_publishes - base.shm_publishes;
+    return d;
+  }
 };
 
 /// Thread-safe monotonic counters.

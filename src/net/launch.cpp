@@ -77,15 +77,27 @@ double probe_clock_offset(NetTransport& nt, obs::Registry& reg, int peer) {
   return offset;
 }
 
-/// Snapshot this process's spans and wire totals atomically (the same
-/// lock the comm instrumentation commits under, so span byte sums equal
-/// the counter totals exactly).
+/// Where a rank's own accounting starts. A forked rank inherits its
+/// parent's wire totals and spans; it reports only what accrued since.
+struct RankOrigin {
+  WireCounterSnapshot wire;
+  double start_s = 0.0;
+};
+
+/// Snapshot this rank's spans and wire totals atomically (the same lock
+/// the comm instrumentation commits under, so span byte sums equal the
+/// counter totals exactly).
 obs::RankTrace snapshot_local_trace(obs::Registry& reg,
-                                    WireCounters& counters, int rank) {
+                                    WireCounters& counters,
+                                    const RankOrigin& origin, int rank) {
   obs::RankTrace t;
   t.rank = static_cast<std::uint32_t>(rank);
   WireCounterSnapshot wc;
-  t.spans = reg.spans_with([&] { wc = counters.snapshot(); });
+  t.spans = reg.spans_with(
+      [&] { wc = counters.snapshot().since(origin.wire); });
+  std::erase_if(t.spans, [&](const obs::Span& s) {
+    return s.start_s < origin.start_s;
+  });
   t.lane_names = reg.lane_names();
   t.wire_frames_sent = wc.frames_sent;
   t.wire_frames_received = wc.frames_received;
@@ -101,8 +113,8 @@ obs::RankTrace snapshot_local_trace(obs::Registry& reg,
 /// sent *during* the gather stay consistent too, because span and
 /// counter commit under one registry lock.
 void gather_and_write_trace(NetTransport& nt, obs::Registry& reg,
-                            WireCounters& counters, int rank, int np,
-                            const std::string& path) {
+                            WireCounters& counters, const RankOrigin& origin,
+                            int rank, int np, const std::string& path) {
   if (rank == 0) {
     std::vector<obs::RankTrace> traces;
     traces.reserve(static_cast<std::size_t>(np));
@@ -127,7 +139,7 @@ void gather_and_write_trace(NetTransport& nt, obs::Registry& reg,
       traces.push_back(std::move(t));
     }
     // Rank 0 snapshots itself last, with offset 0 by definition.
-    traces.push_back(snapshot_local_trace(reg, counters, 0));
+    traces.push_back(snapshot_local_trace(reg, counters, origin, 0));
     obs::write_merged_trace(path, traces);
   } else {
     while (true) {
@@ -141,7 +153,8 @@ void gather_and_write_trace(NetTransport& nt, obs::Registry& reg,
       reply.t_peer = reg.now();
       nt.post(0, encode_clock_reply(reply));
     }
-    const obs::RankTrace local = snapshot_local_trace(reg, counters, rank);
+    const obs::RankTrace local =
+        snapshot_local_trace(reg, counters, origin, rank);
     TraceMsg msg;
     msg.rank = local.rank;
     msg.wire_frames_sent = local.wire_frames_sent;
@@ -201,6 +214,7 @@ std::vector<std::string> spec_to_flags(const NetProblemSpec& spec) {
 int run_worker(const WorkerOptions& opts) {
   WireCounters& counters = global_wire_counters();
   obs::Registry& reg = obs::Registry::instance();
+  const RankOrigin origin{counters.snapshot(), reg.now()};
   if (!opts.trace_out.empty()) reg.set_enabled(true);
   const std::uint32_t main_lane = obs::thread_lane();
   if (reg.enabled()) reg.name_lane(main_lane, "main");
@@ -473,7 +487,8 @@ int run_worker(const WorkerOptions& opts) {
   // Everything the algorithm sent is on the books; collect the per-rank
   // traces into one merged timeline before the summaries go out.
   if (!opts.trace_out.empty()) {
-    gather_and_write_trace(nt, reg, counters, rank, np, opts.trace_out);
+    gather_and_write_trace(nt, reg, counters, origin, rank, np,
+                           opts.trace_out);
     end_phase("trace-gather");
   }
 
@@ -485,7 +500,7 @@ int run_worker(const WorkerOptions& opts) {
   // engine already returned, so the engine-call delta would undercount.
   summary.a_wire_bytes = nt.recorder().total_bytes() - nt.c_wire_bytes();
   summary.c_wire_bytes = nt.c_wire_bytes();
-  const WireCounterSnapshot wc = counters.snapshot();
+  const WireCounterSnapshot wc = counters.snapshot().since(origin.wire);
   summary.frames_sent = wc.frames_sent;
   summary.frames_received = wc.frames_received;
   summary.connect_retries = wc.connect_retries;

@@ -214,21 +214,25 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
   const WelcomeMsg welcome = decode_welcome(*welcome_frame);
   const int rank = static_cast<int>(welcome.rank);
 
+  // The service starts first: its metrics count what accrued since, so
+  // the rank reports its own store attach but not the B tiles or wire
+  // traffic of a parent it was forked from.
+  std::shared_ptr<shm::StoreRegistry> store;
+  if (!opts.shm_ctl.empty()) store = std::make_shared<shm::StoreRegistry>();
+  LocalService local(opts.service, rank, store);
+
   // Shared-memory data plane: attach the node's store registry and swap
   // to the currently published generation before serving anything.
   // Attach failure is fatal (the operator asked for --shm-store); a
   // merely-empty control segment just means generator fallback until
   // the first kStoreSwap doorbell.
-  std::shared_ptr<shm::StoreRegistry> store;
-  if (!opts.shm_ctl.empty()) {
-    store = std::make_shared<shm::StoreRegistry>();
+  if (store != nullptr) {
     if (shm::Status st = shm::StoreRegistry::attach(opts.shm_ctl, *store);
         !st) {
       return 1;
     }
     if (shm::Status st = store->refresh(); !st) return 1;
   }
-  LocalService local(opts.service, rank, store);
   std::mutex tx_mutex;
   const auto send = [&](const Frame& frame) {
     std::lock_guard lock(tx_mutex);

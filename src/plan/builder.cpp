@@ -86,11 +86,20 @@ std::vector<ColumnPiece> make_pieces(const Shape& b, const Shape& c,
   return pieces;
 }
 
+std::vector<std::vector<std::uint32_t>> deal_pieces(
+    std::span<const double> weights, int gpus) {
+  std::vector<std::vector<std::uint32_t>> share =
+      assign_columns_lpt(weights, gpus).columns_of;
+  // Each device packs its share in the node's piece order, as one device
+  // packing all pieces would.
+  for (auto& pieces : share) std::sort(pieces.begin(), pieces.end());
+  return share;
+}
+
 std::vector<BlockPlan> partition_blocks(std::vector<ColumnPiece> pieces,
-                                        double capacity, int gpus,
+                                        double capacity,
                                         PackingPolicy policy) {
   BSTC_REQUIRE(capacity > 0.0, "capacity must be positive");
-  BSTC_REQUIRE(gpus > 0, "need at least one GPU");
 
   // Sort by non-increasing memory footprint (paper §3.2.2); stable on ties
   // for determinism.
@@ -99,12 +108,7 @@ std::vector<BlockPlan> partition_blocks(std::vector<ColumnPiece> pieces,
                      return a.bytes() > b.bytes();
                    });
 
-  std::vector<BlockPlan> blocks(static_cast<std::size_t>(gpus));
-  for (int g = 0; g < gpus; ++g) {
-    blocks[static_cast<std::size_t>(g)].gpu = static_cast<std::uint32_t>(g);
-  }
-  std::vector<std::size_t> blocks_per_gpu(static_cast<std::size_t>(gpus), 1);
-
+  std::vector<BlockPlan> blocks(1);
   for (ColumnPiece& piece : pieces) {
     // Pick a block according to the packing policy (worst fit per §3.2.2;
     // first/best fit kept as ablation baselines).
@@ -135,14 +139,8 @@ std::vector<BlockPlan> partition_blocks(std::vector<ColumnPiece> pieces,
       }
     }
     if (best == blocks.size()) {
-      // Fits nowhere: new block on the GPU with the fewest blocks.
-      const auto gpu = static_cast<std::uint32_t>(
-          std::min_element(blocks_per_gpu.begin(), blocks_per_gpu.end()) -
-          blocks_per_gpu.begin());
       BlockPlan fresh;
-      fresh.gpu = gpu;
       fresh.oversized = piece.bytes() > capacity;
-      ++blocks_per_gpu[gpu];
       blocks.push_back(std::move(fresh));
       best = blocks.size() - 1;
     }
@@ -150,8 +148,8 @@ std::vector<BlockPlan> partition_blocks(std::vector<ColumnPiece> pieces,
     blocks[best].pieces.push_back(std::move(piece));
   }
 
-  // Drop blocks that received no pieces (possible when there are more
-  // GPUs than pieces).
+  // Drop the open block when it received no piece (no pieces at all, or
+  // only oversized ones).
   std::erase_if(blocks, [](const BlockPlan& b) { return b.pieces.empty(); });
   return blocks;
 }
@@ -334,8 +332,8 @@ ExecutionPlan build_plan(const Shape& a, const Shape& b, const Shape& c,
     }
 
     for (int col = 0; col < plan.grid.q; ++col) {
-      NodePlan& node =
-          plan.nodes[static_cast<std::size_t>(plan.grid.node_id(r, col))];
+      const auto nid = static_cast<std::size_t>(plan.grid.node_id(r, col));
+      NodePlan& node = plan.nodes[nid];
       node.grid_row = r;
       node.grid_col = col;
       node.columns = assignment.columns_of[static_cast<std::size_t>(col)];
@@ -347,10 +345,43 @@ ExecutionPlan build_plan(const Shape& a, const Shape& b, const Shape& c,
       // remain listed in node.columns for ownership bookkeeping).
       std::erase_if(pieces,
                     [](const ColumnPiece& piece) { return piece.ks.empty(); });
-      node.blocks = partition_blocks(
-          std::move(pieces), block_capacity,
-          plan.gpus_of_node[static_cast<std::size_t>(plan.grid.node_id(r, col))],
-          cfg.packing);
+
+      // Deal the pieces to the node's devices by GEMM flops against this
+      // slice (the column weight restricted to the piece's k range), then
+      // pack each device's share into blocks by memory.
+      std::vector<double> piece_flops(pieces.size(), 0.0);
+      for (std::size_t pc = 0; pc < pieces.size(); ++pc) {
+        const auto n_ext =
+            static_cast<double>(b.col_tiling().tile_extent(pieces[pc].col));
+        for (const std::uint32_t k : pieces[pc].ks) {
+          piece_flops[pc] +=
+              2.0 * weight_k[k] *
+              static_cast<double>(b.row_tiling().tile_extent(k)) * n_ext;
+        }
+      }
+      std::vector<std::vector<BlockPlan>> blocks_of;
+      std::size_t rounds = 0;
+      for (const auto& dealt :
+           deal_pieces(piece_flops, plan.gpus_of_node[nid])) {
+        std::vector<ColumnPiece> mine;
+        for (const std::uint32_t pc : dealt) {
+          mine.push_back(std::move(pieces[pc]));
+        }
+        blocks_of.push_back(
+            partition_blocks(std::move(mine), block_capacity, cfg.packing));
+        rounds = std::max(rounds, blocks_of.back().size());
+      }
+
+      // Interleave round by round (device 0's r-th block, device 1's r-th,
+      // ...): B generation, which runs in block order, then feeds every
+      // device in turn.
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (std::size_t g = 0; g < blocks_of.size(); ++g) {
+          if (round >= blocks_of[g].size()) continue;
+          blocks_of[g][round].gpu = static_cast<std::uint32_t>(g);
+          node.blocks.push_back(std::move(blocks_of[g][round]));
+        }
+      }
       for (BlockPlan& block : node.blocks) {
         block.chunks = segment_chunks(a, c, slice, block, chunk_capacity);
       }

@@ -5,8 +5,9 @@
 /// and the machine model (paper §3.2). Cost is O(N_t log N_t + nnz(B))
 /// per grid row (paper §3.2.4).
 ///
-/// The individual phases (piece construction, worst-fit block partition,
-/// cyclic-greedy chunk segmentation) are exposed for direct unit testing.
+/// The individual phases (piece construction, flop deal of pieces to
+/// devices, per-device worst-fit block partition, cyclic-greedy chunk
+/// segmentation) are exposed for direct unit testing.
 
 #include <span>
 
@@ -32,15 +33,25 @@ std::vector<ColumnPiece> make_pieces(const Shape& b, const Shape& c,
                                      std::span<const std::uint32_t> cols,
                                      double capacity);
 
-/// Phase 2 — worst-fit partition of pieces into blocks of at most
-/// `capacity` bytes, spread over `gpus` GPUs (paper §3.2.2): pieces sorted
-/// by non-increasing footprint; each GPU starts with one empty block; a
-/// piece goes to the candidate block with the most remaining space; when
-/// it fits nowhere a new block is created on the GPU with the fewest
-/// blocks (round-robin balance). A piece larger than `capacity` gets a
-/// dedicated block flagged `oversized`.
+/// Phase 2a — deal a node's pieces to its `gpus` devices by GEMM flops:
+/// greedy LPT, heaviest piece first onto the least-loaded device (ties to
+/// the lower index). Returns, per device, the indices into `weights` it
+/// received, ascending. The paper deals blocks round-robin by count
+/// (§3.2.2), which leaves devices unequal in work when block flops
+/// differ; this balances flops and leaves memory to phase 2b.
+std::vector<std::vector<std::uint32_t>> deal_pieces(
+    std::span<const double> weights, int gpus);
+
+/// Phase 2b — worst-fit partition of one device's pieces into blocks of
+/// at most `capacity` bytes (paper §3.2.2): pieces sorted by
+/// non-increasing footprint; packing starts with one open block; a piece
+/// goes to the candidate block with the most remaining space and opens a
+/// new block when it fits nowhere. A piece larger than `capacity` gets a
+/// dedicated block flagged `oversized`. `gpu` is left 0: build_plan
+/// stamps it when it interleaves the devices' blocks into the node's
+/// list (device 0's r-th block, device 1's r-th, ...).
 std::vector<BlockPlan> partition_blocks(
-    std::vector<ColumnPiece> pieces, double capacity, int gpus,
+    std::vector<ColumnPiece> pieces, double capacity,
     PackingPolicy policy = PackingPolicy::kWorstFit);
 
 /// Phase 3 — segment the A tiles needed by `block` into chunks of at most

@@ -86,7 +86,10 @@ ServiceStatus validate_problem(const Shape& a, const Shape* b,
 }  // namespace
 
 ContractionService::ContractionService(ServiceConfig cfg)
-    : cfg_(cfg), cache_(cfg.plan_cache_capacity) {
+    : cfg_(cfg),
+      cache_(cfg.plan_cache_capacity),
+      wire_base_(net::global_wire_counters().snapshot()),
+      counter_base_(obs::Registry::instance().counters()) {
   BSTC_REQUIRE(cfg_.workers >= 1, "service needs at least one worker");
   BSTC_REQUIRE(cfg_.queue_capacity >= 1, "queue capacity must be >= 1");
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
@@ -438,16 +441,22 @@ ServiceMetrics ContractionService::metrics() const {
     out = metrics_;
   }
   out.plan_cache = cache_.stats();
-  out.wire = net::global_wire_counters().snapshot();
+  out.wire = net::global_wire_counters().snapshot().since(wire_base_);
   // Shared-memory data plane counters live in the process-wide obs
   // registry (the generator and the shm layer both bump it); mirroring
-  // them here lets the distributed gather ship them per rank.
+  // what accrued since this service started lets the distributed gather
+  // ship them per rank.
   {
     const obs::Registry& reg = obs::Registry::instance();
     const auto counters = reg.counters();
-    const auto counter = [&counters](const char* name) -> std::size_t {
+    const auto counter = [&](const char* name) -> std::size_t {
       const auto it = counters.find(name);
-      return it == counters.end() ? 0 : static_cast<std::size_t>(it->second);
+      const auto base = counter_base_.find(name);
+      const std::uint64_t now = it == counters.end() ? 0 : it->second;
+      const std::uint64_t then =
+          base == counter_base_.end() ? 0 : base->second;
+      // A registry cleared since then restarted from zero.
+      return static_cast<std::size_t>(now < then ? now : now - then);
     };
     out.b_tiles_generated = counter("bstc_b_tiles_generated_total");
     out.shm_store_builds = counter("bstc_shm_store_builds_total");

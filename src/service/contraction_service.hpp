@@ -32,6 +32,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -198,6 +199,11 @@ class ContractionService {
   std::deque<Job*> queue_;
   bool stopping_ = false;
   ServiceMetrics metrics_;
+  /// Process-wide wire and registry counters as they stood when this
+  /// service started; metrics() reports what accrued since, so a forked
+  /// rank does not report its parent's traffic or B generation.
+  net::WireCounterSnapshot wire_base_;
+  std::map<std::string, std::uint64_t> counter_base_;
 
   std::mutex sessions_mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;

@@ -1,9 +1,10 @@
 /// Executor staging and reduction-order tests: segmented-column C
 /// partials must reduce in ascending block order however the devices
-/// race, the computed C tiles must become the result unchanged, unexecutable
-/// plans must be refused before any work, problems too large for host
-/// memory must be refused before any allocation, and the staging counters
-/// must describe what the packed stage arenas moved.
+/// race, C must not depend on which device runs a block, the computed C
+/// tiles must become the result unchanged, unexecutable plans must be
+/// refused before any work, problems too large for host memory must be
+/// refused before any allocation, and the staging counters must describe
+/// what the packed stage arenas moved.
 
 #include <gtest/gtest.h>
 
@@ -130,6 +131,77 @@ TEST(EngineStaging, SegmentedColumnReducesInBlockOrderOnThreeDevices) {
                            nullptr, SegmentedProblem::machine(3), {});
     EXPECT_TRUE(bitwise_equal(r.c, reference.c))
         << "replay " << replay << " reduced the partials out of order";
+  }
+}
+
+TEST(EngineStaging, ResultIsInvariantToDevicePlacement) {
+  // Which device runs a block must not change C: the same plan run with
+  // its devices as built, rotated (g -> g+1 mod 3) and all on one device
+  // gives bitwise-equal C, once with segmented columns (partials reduced
+  // across devices) and once without.
+  const SegmentedProblem seg;
+  Rng rng(5);
+  const Tiling mt = Tiling::random_uniform(96, 8, 24, rng);
+  const Tiling kt = Tiling::random_uniform(480, 8, 24, rng);
+  const Tiling nt = Tiling::random_uniform(480, 8, 24, rng);
+  const BlockSparseMatrix a = BlockSparseMatrix::random(
+      Shape::random(mt, kt, 0.4, rng), rng);
+  const Shape b_shape = Shape::random(kt, nt, 0.4, rng);
+  const TileGenerator b_gen = random_tile_generator(b_shape, 17);
+  const Shape c_shape = contract_shape(a.shape(), b_shape);
+
+  struct Case {
+    const BlockSparseMatrix& a;
+    const Shape& b_shape;
+    const TileGenerator& b_gen;
+    const Shape& c_shape;
+    double memory;
+    bool segmented;
+  };
+  for (const Case& cs : {Case{seg.a, seg.b_shape, seg.b_gen, seg.c_shape,
+                              2.0e5, true},
+                         Case{a, b_shape, b_gen, c_shape, 2.0e5, false}}) {
+    MachineModel three = MachineModel::summit_gpus(3);
+    three.node.gpu.memory_bytes = cs.memory;
+    MachineModel one = MachineModel::summit_gpus(1);
+    one.node.gpu.memory_bytes = cs.memory;
+    const ExecutionPlan built =
+        build_plan(cs.a.shape(), cs.b_shape, cs.c_shape, three, {});
+    // Precondition: several blocks on every device, and segmented
+    // columns exactly in the segmented case.
+    std::set<std::uint32_t> gpus;
+    bool any_segmented = false;
+    for (const BlockPlan& block : built.nodes[0].blocks) {
+      gpus.insert(block.gpu);
+      for (const ColumnPiece& piece : block.pieces) {
+        any_segmented = any_segmented || piece.segmented;
+      }
+    }
+    ASSERT_EQ(gpus.size(), 3u);
+    ASSERT_GT(built.nodes[0].blocks.size(), 3u);
+    ASSERT_EQ(any_segmented, cs.segmented);
+
+    ExecutionPlan rotated = built;
+    for (BlockPlan& block : rotated.nodes[0].blocks) {
+      block.gpu = (block.gpu + 1) % 3;
+    }
+    ExecutionPlan single = built;
+    single.gpus_of_node = {1};
+    for (BlockPlan& block : single.nodes[0].blocks) block.gpu = 0;
+
+    const EngineResult as_built =
+        contract_with_plan(built, cs.a, cs.b_shape, cs.b_gen, cs.c_shape,
+                           nullptr, three, {});
+    const EngineResult turned =
+        contract_with_plan(rotated, cs.a, cs.b_shape, cs.b_gen, cs.c_shape,
+                           nullptr, three, {});
+    const EngineResult alone =
+        contract_with_plan(single, cs.a, cs.b_shape, cs.b_gen, cs.c_shape,
+                           nullptr, one, {});
+    EXPECT_TRUE(bitwise_equal(turned.c, as_built.c))
+        << "rotated devices, segmented " << cs.segmented;
+    EXPECT_TRUE(bitwise_equal(alone.c, as_built.c))
+        << "one device, segmented " << cs.segmented;
   }
 }
 

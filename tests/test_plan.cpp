@@ -1,8 +1,10 @@
-/// Tests for the inspector: column assignment, piece construction,
-/// worst-fit block partition, chunk segmentation and full plan building.
+/// Tests for the inspector: column assignment, piece construction, the
+/// flop deal of pieces to devices, worst-fit block partition, chunk
+/// segmentation and full plan building.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <unordered_set>
 
@@ -118,9 +120,10 @@ TEST_F(PlanFixture, MakePiecesSegmentsOversizedColumns) {
 }
 
 TEST(BlockPartition, WorstFitPrefersEmptiestBlock) {
-  // Three pieces of sizes 6,5,4 with capacity 10 over 2 GPUs:
-  // sorted 6,5,4 -> 6 to gpu0 (rem 4), 5 to gpu1 (rem 5), 4 to gpu1?
-  // worst-fit: remaining spaces are 4 and 5 -> block of gpu1; 4 fits in 5.
+  // Three pieces of sizes 6,5,4 with capacity 10 on one device: 6 fills
+  // the open block (rem 4), 5 fits nowhere and opens a second (rem 5);
+  // worst fit puts 4 into the emptier second block (first and best fit
+  // would put it with the 6).
   auto piece = [](std::uint32_t col, double bytes) {
     ColumnPiece p;
     p.col = col;
@@ -129,29 +132,68 @@ TEST(BlockPartition, WorstFitPrefersEmptiestBlock) {
     return p;
   };
   const auto blocks =
-      partition_blocks({piece(0, 6), piece(1, 5), piece(2, 4)}, 10.0, 2);
+      partition_blocks({piece(0, 6), piece(1, 5), piece(2, 4)}, 10.0);
   ASSERT_EQ(blocks.size(), 2u);
   EXPECT_EQ(blocks[0].pieces.size(), 1u);  // the 6
   EXPECT_EQ(blocks[1].pieces.size(), 2u);  // 5 then 4
   EXPECT_DOUBLE_EQ(blocks[1].bytes, 9.0);
 }
 
-TEST(BlockPartition, NewBlocksRoundRobinAcrossGpus) {
-  auto piece = [](std::uint32_t col) {
-    ColumnPiece p;
-    p.col = col;
-    p.ks = {0};
-    p.b_bytes = 8.0;  // capacity 10: one piece per block
-    return p;
-  };
-  std::vector<ColumnPiece> pieces;
-  for (std::uint32_t c = 0; c < 7; ++c) pieces.push_back(piece(c));
-  const auto blocks = partition_blocks(std::move(pieces), 10.0, 2);
-  ASSERT_EQ(blocks.size(), 7u);
-  int per_gpu[2] = {0, 0};
-  for (const auto& b : blocks) ++per_gpu[b.gpu];
-  // "no GPU is assigned more than one block than any other GPU"
-  EXPECT_LE(std::abs(per_gpu[0] - per_gpu[1]), 1);
+/// Blocks each device packs from its `share` of dealt pieces, every
+/// piece 8 bytes against a capacity of 10 (one piece per block).
+std::vector<std::size_t> blocks_per_device(
+    const std::vector<std::vector<std::uint32_t>>& share) {
+  std::vector<std::size_t> blocks;
+  for (const auto& mine : share) {
+    std::vector<ColumnPiece> pieces;
+    for (const std::uint32_t pc : mine) {
+      ColumnPiece p;
+      p.col = pc;
+      p.ks = {0};
+      p.b_bytes = 8.0;
+      pieces.push_back(std::move(p));
+    }
+    blocks.push_back(partition_blocks(std::move(pieces), 10.0).size());
+  }
+  return blocks;
+}
+
+TEST(BlockPartition, DealSpreadsEqualPiecesEvenly) {
+  // Seven equal pieces (one per block) over two devices: the deal hands
+  // out 4 and 3, and each device's blocks hold only its own share, so no
+  // device runs more than one block more than another.
+  const std::vector<double> weights(7, 1.0);
+  const auto share = deal_pieces(weights, 2);
+  ASSERT_EQ(share.size(), 2u);
+  std::vector<int> seen(weights.size(), 0);
+  for (const auto& mine : share) {
+    EXPECT_TRUE(std::is_sorted(mine.begin(), mine.end()));
+    for (const std::uint32_t pc : mine) ++seen[pc];
+  }
+  for (const int s : seen) EXPECT_EQ(s, 1);
+  const std::vector<std::size_t> blocks = blocks_per_device(share);
+  EXPECT_EQ(blocks[0] + blocks[1], 7u);
+  EXPECT_LE(std::max(blocks[0], blocks[1]) - std::min(blocks[0], blocks[1]),
+            1u);
+}
+
+TEST(BlockPartition, DealBalancesFlopsNotBytes) {
+  // Ten pieces of equal bytes; one carries nine times the flops of each
+  // of the others. A deal by count (5 + 5) would load one device 13 to
+  // the other's 5; the flop deal gives the heavy piece a device of its
+  // own and the nine light ones to the other: 9 and 9, in 1 block and 9.
+  std::vector<double> weights(10, 1.0);
+  weights[3] = 9.0;
+  const auto share = deal_pieces(weights, 2);
+  ASSERT_EQ(share.size(), 2u);
+  double flops[2] = {0.0, 0.0};
+  for (std::size_t g = 0; g < 2; ++g) {
+    for (const std::uint32_t pc : share[g]) flops[g] += weights[pc];
+  }
+  EXPECT_DOUBLE_EQ(flops[0], 9.0);
+  EXPECT_DOUBLE_EQ(flops[1], 9.0);
+  EXPECT_EQ(share[0], (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(blocks_per_device(share), (std::vector<std::size_t>{1, 9}));
 }
 
 TEST(BlockPartition, OversizedPieceGetsOwnFlaggedBlock) {
@@ -163,7 +205,7 @@ TEST(BlockPartition, OversizedPieceGetsOwnFlaggedBlock) {
   small.col = 1;
   small.ks = {0};
   small.b_bytes = 1.0;
-  const auto blocks = partition_blocks({big, small}, 10.0, 1);
+  const auto blocks = partition_blocks({big, small}, 10.0);
   ASSERT_EQ(blocks.size(), 2u);
   bool found_oversized = false;
   for (const auto& b : blocks) {
@@ -253,6 +295,32 @@ TEST_F(PlanFixture, InvalidConfigsThrow) {
 }
 
 /// Property sweep: plans over random problems and grids always validate.
+TEST(PlanBuilder, DevicesGetBalancedFlops) {
+  // The CLI's default synthetic problem on one node of three devices,
+  // once streaming (6e7 B per device: 15 blocks) and once at 16 GB (one
+  // block per device). Blocks carry unequal flops, so a deal by block
+  // count leaves one device idle through the tail; the flop deal keeps
+  // every device within 2% of the mean and block counts within one.
+  Rng rng(42);
+  const Tiling mt = Tiling::random_uniform(2048, 64, 256, rng);
+  const Tiling kt = Tiling::random_uniform(8192, 64, 256, rng);
+  const Tiling nt = Tiling::random_uniform(8192, 64, 256, rng);
+  const Shape a = Shape::random(mt, kt, 0.5, rng);
+  const Shape b = Shape::random(kt, nt, 0.5, rng);
+  const Shape c = contract_shape(a, b);
+  for (const double memory : {6.0e7, 16.0e9}) {
+    MachineModel machine = MachineModel::summit_gpus(3);
+    machine.node.gpu.memory_bytes = memory;
+    const ExecutionPlan plan = build_plan(a, b, c, machine, {});
+    EXPECT_TRUE(validate_plan(plan, a, b, c).empty()) << memory;
+    EXPECT_LE(compute_stats(plan, a, b, c).gpu_imbalance, 1.02) << memory;
+    std::vector<std::size_t> per_gpu(3, 0);
+    for (const BlockPlan& block : plan.nodes[0].blocks) ++per_gpu[block.gpu];
+    const auto [lo, hi] = std::minmax_element(per_gpu.begin(), per_gpu.end());
+    EXPECT_LE(*hi - *lo, 1u) << memory;
+  }
+}
+
 class PlanProperty
     : public ::testing::TestWithParam<std::tuple<int, int, double, double>> {};
 

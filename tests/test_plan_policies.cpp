@@ -57,24 +57,26 @@ TEST(PackingPolicies, FirstFitPacksTightly) {
     p.b_bytes = bytes;
     return p;
   };
-  // Sorted: 6, 5, 4 with capacity 10 over 1 GPU:
-  // first-fit: [6, 4], [5]; worst-fit: [6, 4], [5] too here; use a case
-  // that distinguishes: capacity 12, pieces 6,5,4,3 over 2 gpus.
-  const std::vector<ColumnPiece> pieces{piece(0, 6), piece(1, 5), piece(2, 4),
-                                        piece(3, 3)};
-  const auto first = partition_blocks(pieces, 12.0, 2,
-                                      PackingPolicy::kFirstFit);
-  // first-fit: blk0 <- 6, 5 (11); blk1 <- 4, 3 (7).
+  // One device, capacity 10, pieces 7, 4, 4, 2, 1: 7 fills the open
+  // block (rem 3); each 4 fits only a second block (8, rem 2). The 2 and
+  // the 1 then tell the three policies apart.
+  const std::vector<ColumnPiece> pieces{piece(0, 7), piece(1, 4), piece(2, 4),
+                                        piece(3, 2), piece(4, 1)};
+  // first-fit: 2 -> blk0 (9), 1 -> blk0 (10).
+  const auto first = partition_blocks(pieces, 10.0, PackingPolicy::kFirstFit);
   ASSERT_EQ(first.size(), 2u);
-  EXPECT_DOUBLE_EQ(first[0].bytes, 11.0);
-  EXPECT_DOUBLE_EQ(first[1].bytes, 7.0);
-  const auto worst =
-      partition_blocks(pieces, 12.0, 2, PackingPolicy::kWorstFit);
-  // worst-fit: blk0 <- 6 (rem 6), blk1 <- 5 (rem 7), 4 -> blk1 (11),
-  // 3 -> blk0 (9).
+  EXPECT_DOUBLE_EQ(first[0].bytes, 10.0);
+  EXPECT_DOUBLE_EQ(first[1].bytes, 8.0);
+  // worst-fit: 2 -> blk0 (rem 3 > 2), 1 -> blk1 (rem 2 > 1).
+  const auto worst = partition_blocks(pieces, 10.0, PackingPolicy::kWorstFit);
   ASSERT_EQ(worst.size(), 2u);
   EXPECT_DOUBLE_EQ(worst[0].bytes, 9.0);
   EXPECT_DOUBLE_EQ(worst[1].bytes, 9.0);
+  // best-fit: 2 -> blk1 (rem 2 < 3), 1 -> blk0 (the only room left).
+  const auto best = partition_blocks(pieces, 10.0, PackingPolicy::kBestFit);
+  ASSERT_EQ(best.size(), 2u);
+  EXPECT_DOUBLE_EQ(best[0].bytes, 8.0);
+  EXPECT_DOUBLE_EQ(best[1].bytes, 10.0);
 }
 
 TEST(PackingPolicies, BestFitFillsTightestBlock) {
@@ -85,10 +87,11 @@ TEST(PackingPolicies, BestFitFillsTightestBlock) {
     p.b_bytes = bytes;
     return p;
   };
-  // capacity 10 over 2 gpus: 7, 5, 3: best-fit puts 3 with the 7 (rem 3 <
-  // rem 5).
+  // capacity 10 on one device: 7 fills the open block (rem 3), 5 opens a
+  // second (rem 5); best-fit puts 3 with the 7 (rem 3 < rem 5), where
+  // worst fit would put it with the 5.
   const auto blocks = partition_blocks({piece(0, 7), piece(1, 5), piece(2, 3)},
-                                       10.0, 2, PackingPolicy::kBestFit);
+                                       10.0, PackingPolicy::kBestFit);
   ASSERT_EQ(blocks.size(), 2u);
   EXPECT_DOUBLE_EQ(blocks[0].bytes, 10.0);
   EXPECT_DOUBLE_EQ(blocks[1].bytes, 5.0);

@@ -527,6 +527,16 @@ int cmd_execute(const Args& args) {
               fmt_bytes(counter("bstc_stage_packed_bytes_total")).c_str(),
               fmt_bytes(counter("bstc_stage_pad_bytes_total")).c_str(),
               fmt_flop_count(counter("bstc_gemm_flops_total")).c_str());
+  std::string devices;
+  for (const std::vector<double>& node : result.plan_stats.flops_per_gpu) {
+    if (!devices.empty()) devices += " | ";
+    for (std::size_t g = 0; g < node.size(); ++g) {
+      if (g > 0) devices += " / ";
+      devices += fmt_flop_count(node[g]);
+    }
+  }
+  std::printf("devices        %s planned; GPU imbalance %.3f\n",
+              devices.c_str(), result.plan_stats.gpu_imbalance);
   std::printf("B generations  at most %zu per node\n",
               result.b_max_generations);
   std::printf("A broadcast    %s, C return %s\n",
