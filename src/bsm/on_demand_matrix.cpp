@@ -16,35 +16,52 @@ std::uint64_t OnDemandMatrix::key(std::size_t r, std::size_t c) const {
   return static_cast<std::uint64_t>(r) * shape_.tile_cols() + c;
 }
 
-OnDemandMatrix::Entry& OnDemandMatrix::locate_or_generate(std::size_t r,
-                                                          std::size_t c) {
+OnDemandMatrix::Entry& OnDemandMatrix::locate_or_generate(
+    std::unique_lock<std::mutex>& lock, std::size_t r, std::size_t c) {
   BSTC_REQUIRE(shape_.nonzero(r, c), "acquiring a zero block");
   const std::uint64_t k = key(r, c);
-  auto it = cache_.find(k);
-  if (it == cache_.end()) {
-    // Generation happens under the lock: the paper's runtime guarantees a
-    // tile is instantiated at most once per node even under concurrent
-    // requests, which a per-matrix lock provides. Generation cost is tiny
-    // relative to the GEMMs consuming the tile.
-    Entry entry;
-    entry.tile = generator_(r, c);
-    BSTC_CHECK(entry.tile.rows() == shape_.row_tiling().tile_extent(r));
-    BSTC_CHECK(entry.tile.cols() == shape_.col_tiling().tile_extent(c));
-    cached_bytes_ += entry.tile.bytes();
-    peak_cached_bytes_ = std::max(peak_cached_bytes_, cached_bytes_);
-    ++generations_[k];
-    // Process-wide generation counter: the distributed-serve metrics
-    // gather sums this across ranks to prove one-materialization-per-node
-    // (with a shared store it stays 0 on every worker).
-    obs::Registry::instance().counter_add("bstc_b_tiles_generated_total");
-    it = cache_.emplace(k, std::move(entry)).first;
+  for (auto it = cache_.find(k); it != cache_.end(); it = cache_.find(k)) {
+    if (!it->second.in_flight) return it->second;
+    // Another caller is generating this tile: wait until it is published,
+    // or removed because its generation failed (then generate it here).
+    published_.wait(lock);
   }
-  return it->second;
+  // Claim the tile and generate it with the lock dropped, so other tiles
+  // are generated and staged meanwhile; the in-flight entry keeps the
+  // paper's at-most-once instantiation (§4). Map entries keep their
+  // address across the unlock, and only this caller removes the claim.
+  Entry& entry = cache_[k];
+  entry.in_flight = true;
+  Tile tile;
+  try {
+    lock.unlock();
+    tile = generator_(r, c);
+    lock.lock();
+    BSTC_REQUIRE(tile.rows() == shape_.row_tiling().tile_extent(r) &&
+                     tile.cols() == shape_.col_tiling().tile_extent(c),
+                 "generated tile extents disagree with the shape");
+  } catch (...) {
+    if (!lock.owns_lock()) lock.lock();
+    cache_.erase(k);
+    published_.notify_all();
+    throw;
+  }
+  entry.tile = std::move(tile);
+  entry.in_flight = false;
+  cached_bytes_ += entry.tile.bytes();
+  peak_cached_bytes_ = std::max(peak_cached_bytes_, cached_bytes_);
+  ++generations_[k];
+  // Process-wide generation counter: the distributed-serve metrics
+  // gather sums this across ranks to prove one-materialization-per-node
+  // (with a shared store it stays 0 on every worker).
+  obs::Registry::instance().counter_add("bstc_b_tiles_generated_total");
+  published_.notify_all();
+  return entry;
 }
 
 const Tile& OnDemandMatrix::acquire(std::size_t r, std::size_t c) {
-  std::lock_guard lock(mutex_);
-  Entry& entry = locate_or_generate(r, c);
+  std::unique_lock lock(mutex_);
+  Entry& entry = locate_or_generate(lock, r, c);
   ++entry.pins;
   return entry.tile;
 }
@@ -52,7 +69,8 @@ const Tile& OnDemandMatrix::acquire(std::size_t r, std::size_t c) {
 void OnDemandMatrix::release(std::size_t r, std::size_t c) {
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(key(r, c));
-  BSTC_REQUIRE(it != cache_.end(), "releasing a tile that is not cached");
+  BSTC_REQUIRE(it != cache_.end() && !it->second.in_flight,
+               "releasing a tile that is not cached");
   BSTC_REQUIRE(it->second.pins > 0, "releasing an unpinned tile");
   if (--it->second.pins == 0 && !it->second.persistent) {
     cached_bytes_ -= it->second.tile.bytes();
@@ -61,8 +79,8 @@ void OnDemandMatrix::release(std::size_t r, std::size_t c) {
 }
 
 const Tile& OnDemandMatrix::acquire_persistent(std::size_t r, std::size_t c) {
-  std::lock_guard lock(mutex_);
-  Entry& entry = locate_or_generate(r, c);
+  std::unique_lock lock(mutex_);
+  Entry& entry = locate_or_generate(lock, r, c);
   entry.persistent = true;
   return entry.tile;
 }
@@ -71,7 +89,7 @@ std::size_t OnDemandMatrix::evict_unpinned() {
   std::lock_guard lock(mutex_);
   std::size_t freed = 0;
   for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.pins == 0) {
+    if (it->second.pins == 0 && !it->second.in_flight) {
       freed += it->second.tile.bytes();
       it = cache_.erase(it);
     } else {

@@ -12,6 +12,19 @@
 /// are reference-counted, and generation counts are tracked so the
 /// at-most-once invariant is testable.
 ///
+/// In-flight contract: the generator runs *outside* the per-matrix mutex,
+/// so distinct tiles generate concurrently and a device lane staging a
+/// ready tile never waits behind another tile's generation. The first
+/// acquirer of a missing tile inserts an in-flight entry, generates with
+/// the mutex dropped, then re-locks, checks the extents and publishes the
+/// tile. A concurrent acquirer of the same tile waits on a condition
+/// variable until it is published, so each tile is still generated at
+/// most once while pinned. An in-flight entry is neither counted in
+/// cached_bytes() nor releasable nor evictable. If the generator throws
+/// or returns wrong extents, the entry is removed and waiters are woken
+/// before the error propagates; a woken waiter then generates the tile
+/// itself (and meets the same error if the generator keeps failing).
+///
 /// OnDemandMatrix is the *generating* backend of the TileSource seam —
 /// each process pays the generation cost and caches privately. Its
 /// zero-copy sibling, shm::SharedStoreSource, serves the same contract
@@ -20,6 +33,7 @@
 /// across processes on a node). Engines and service sessions consume
 /// either backend unchanged.
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -50,7 +64,8 @@ class OnDemandMatrix final : public TileSource {
 
   /// Acquire tile (r, c): generates it on first acquisition, pins it in the
   /// cache, and returns a reference valid until the matching release().
-  /// Throws if (r, c) is a zero block.
+  /// Waits while another caller is generating the same tile. Throws if
+  /// (r, c) is a zero block or if generation fails.
   const Tile& acquire(std::size_t r, std::size_t c) override;
 
   /// Release a pinned tile; when the pin count reaches zero the tile is
@@ -74,8 +89,9 @@ class OnDemandMatrix final : public TileSource {
 
   /// Drop every cached tile with no outstanding pin — including
   /// persistent ones, whose mark is cleared (deterministic generators
-  /// make regeneration safe). The serving layer calls this between
-  /// iterations to bound the host B footprint. Returns the bytes freed.
+  /// make regeneration safe). In-flight tiles are skipped. The serving
+  /// layer calls this between iterations to bound the host B footprint.
+  /// Returns the bytes freed.
   std::size_t evict_unpinned() override;
 
   /// How many times tile (r, c) has been generated so far.
@@ -97,14 +113,20 @@ class OnDemandMatrix final : public TileSource {
     Tile tile;
     std::size_t pins = 0;
     bool persistent = false;
+    bool in_flight = false;  ///< generator running; tile not yet published
   };
 
   std::uint64_t key(std::size_t r, std::size_t c) const;
-  Entry& locate_or_generate(std::size_t r, std::size_t c);
+  /// Returns the published entry of (r, c), generating it if missing.
+  /// `lock` holds mutex_ on entry and on return; it is dropped while the
+  /// generator runs or while waiting for another caller's generation.
+  Entry& locate_or_generate(std::unique_lock<std::mutex>& lock, std::size_t r,
+                            std::size_t c);
 
   Shape shape_;
   TileGenerator generator_;
   mutable std::mutex mutex_;
+  std::condition_variable published_;  ///< an in-flight entry resolved
   std::unordered_map<std::uint64_t, Entry> cache_;
   std::unordered_map<std::uint64_t, std::size_t> generations_;
   std::size_t cached_bytes_ = 0;

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -381,6 +382,18 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     // Per B column: the blocks holding a piece of it, ascending — the
     // blocks whose C partials of that column meet in c_store.
     std::map<std::uint32_t, std::vector<std::size_t>> blocks_of_column;
+    // Per GPU: how many of its blocks precede the current one (the block's
+    // round); and one pending generation task per piece.
+    std::vector<std::size_t> block_rounds(
+        static_cast<std::size_t>(plan.gpus_of_node[static_cast<std::size_t>(n)]),
+        0);
+    struct PendingGen {
+      std::size_t round, piece;
+      std::uint32_t gpu;
+      std::size_t block;
+      TaskId load;
+    };
+    std::vector<PendingGen> gens;
 
     for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
       const BlockPlan& block = node_plan.blocks[bi];
@@ -412,23 +425,12 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
         }
       }
 
-      // --- Piece tasks: generate on CPU, then stage on the device. ---
+      // --- Piece tasks: stage on the device (generation is dealt below,
+      // once every block's loads exist). ---
+      const std::size_t round = block_rounds[block.gpu]++;
       std::vector<TaskId> piece_loads;
       for (std::size_t pi = 0; pi < block.pieces.size(); ++pi) {
         const ColumnPiece& piece = block.pieces[pi];
-        const TaskId gen = graph.add_task(
-            "gen(n" + std::to_string(n) + ",b" + std::to_string(bi) + ",p" +
-                std::to_string(pi) + ")",
-            cpu_queue, [&ns, &piece, persistent_b] {
-              for (const std::uint32_t k : piece.ks) {
-                if (persistent_b) {
-                  // Session mode: tile survives across iterations (no pin).
-                  ns.b->acquire_persistent(k, piece.col);
-                } else {
-                  ns.b->acquire(k, piece.col);  // pin until staged
-                }
-              }
-            });
         // Staging targets: each B tile's panels in the arena's B region,
         // and the column's C slots.
         std::vector<double*> b_dst;
@@ -480,7 +482,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                          c_shape.col_tiling().tile_extent(piece.col));
               }
             });
-        graph.add_edge(gen, load, EdgeKind::kData);
+        gens.push_back({round, pi, block.gpu, bi, load});
         piece_loads.push_back(load);
       }
 
@@ -654,6 +656,36 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
         }
       }
       prev_store_of_gpu[block.gpu] = store;
+    }
+
+    // --- Generation tasks, on the node's CPU queue in the order the
+    // devices consume pieces: round by round (a GPU's r-th block), piece
+    // by piece, GPU by GPU. Ready tasks of one queue run in creation
+    // order, so every GPU's first piece is generated within a few tile
+    // times and all devices stage and multiply while the rest of B is
+    // generated. Each C tile's k-accumulation order is fixed by the
+    // device-side tasks, not by when generation finishes. ---
+    std::sort(gens.begin(), gens.end(),
+              [](const PendingGen& x, const PendingGen& y) {
+                return std::tie(x.round, x.piece, x.gpu) <
+                       std::tie(y.round, y.piece, y.gpu);
+              });
+    for (const PendingGen& pg : gens) {
+      const ColumnPiece& piece = node_plan.blocks[pg.block].pieces[pg.piece];
+      const TaskId gen = graph.add_task(
+          "gen(n" + std::to_string(n) + ",b" + std::to_string(pg.block) +
+              ",p" + std::to_string(pg.piece) + ")",
+          cpu_queue, [&ns, &piece, persistent_b] {
+            for (const std::uint32_t k : piece.ks) {
+              if (persistent_b) {
+                // Session mode: tile survives across iterations (no pin).
+                ns.b->acquire_persistent(k, piece.col);
+              } else {
+                ns.b->acquire(k, piece.col);  // pin until staged
+              }
+            }
+          });
+      graph.add_edge(gen, pg.load, EdgeKind::kData);
     }
 
     // Control: a segmented column's C partials reduce into c_store in

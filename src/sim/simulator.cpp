@@ -103,7 +103,9 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
 
     // ---- CPU generation of B -------------------------------------------
     // The node CPU generates B pieces in the order GPUs consume blocks
-    // (round-robin across GPUs by block rank).
+    // (round-robin across GPUs by block rank). The executor deals its
+    // `gen` tasks in the same order, interleaving the GPUs piece by piece
+    // within a round (core/engine.cpp).
     std::vector<double> gen_end(node.blocks.size(), 0.0);
     {
       std::vector<std::vector<std::size_t>> blocks_of_gpu(

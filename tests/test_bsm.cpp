@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -362,6 +365,93 @@ TEST(OnDemandMatrix, ConcurrentAcquireReleaseKeepsInvariants) {
   for (std::size_t r = 0; r < s.tile_rows(); ++r) {
     for (std::size_t c = 0; c < s.tile_cols(); ++c) m.release(r, c);
   }
+  EXPECT_EQ(m.cached_bytes(), 0u);
+}
+
+TEST(OnDemandMatrix, DistinctTilesGenerateConcurrently) {
+  // Two threads acquire distinct tiles whose generator waits, bounded,
+  // until both calls are inside it. Generating under the matrix lock would
+  // serialize the calls, and each wait would time out alone.
+  const Shape s = Shape::dense(tiles({4, 4}), tiles({4}));
+  const TileGenerator fill = random_tile_generator(s, 5);
+  std::mutex mu;
+  std::condition_variable cv;
+  int inside = 0;
+  int most_inside = 0;
+  int met = 0;
+  OnDemandMatrix m(s, [&](std::size_t r, std::size_t c) {
+    std::unique_lock lock(mu);
+    most_inside = std::max(most_inside, ++inside);
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return most_inside >= 2; })) {
+      ++met;
+    }
+    --inside;
+    return fill(r, c);
+  });
+  std::thread first([&m] { m.acquire(0, 0); });
+  std::thread second([&m] { m.acquire(1, 0); });
+  first.join();
+  second.join();
+  EXPECT_EQ(met, 2) << "the generator ran for one tile at a time";
+  EXPECT_EQ(m.total_generations(), 2u);
+  m.release(0, 0);
+  m.release(1, 0);
+  EXPECT_EQ(m.cached_bytes(), 0u);
+}
+
+TEST(OnDemandMatrix, SameTileWaitsForInFlightGeneration) {
+  // A second acquirer of a tile being generated blocks until the tile is
+  // published and gets the same tile: the generator runs once. While in
+  // flight, the tile is neither counted nor evictable.
+  const Shape s = Shape::dense(tiles({4}), tiles({4}));
+  const TileGenerator fill = random_tile_generator(s, 6);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool proceed = false;
+  std::atomic<int> calls{0};
+  OnDemandMatrix m(s, [&](std::size_t r, std::size_t c) {
+    ++calls;
+    std::unique_lock lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return proceed; });
+    return fill(r, c);
+  });
+  const Tile* first_tile = nullptr;
+  const Tile* second_tile = nullptr;
+  std::atomic<bool> second_done{false};
+  std::thread first([&] { first_tile = &m.acquire(0, 0); });
+  bool generating = false;
+  {
+    std::unique_lock lock(mu);
+    generating = cv.wait_for(lock, std::chrono::seconds(5),
+                             [&] { return entered; });
+  }
+  std::thread second([&] {
+    second_tile = &m.acquire(0, 0);
+    second_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(generating);
+  EXPECT_FALSE(second_done.load()) << "returned before the tile existed";
+  EXPECT_EQ(m.cached_bytes(), 0u);
+  EXPECT_EQ(m.evict_unpinned(), 0u);
+  {
+    std::lock_guard lock(mu);
+    proceed = true;
+  }
+  cv.notify_all();
+  first.join();
+  second.join();
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(m.generation_count(0, 0), 1u);
+  EXPECT_EQ(first_tile, second_tile);
+  EXPECT_EQ(m.cached_bytes(), first_tile->bytes());
+  m.release(0, 0);
+  m.release(0, 0);
   EXPECT_EQ(m.cached_bytes(), 0u);
 }
 

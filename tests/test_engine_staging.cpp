@@ -3,18 +3,22 @@
 /// race, C must not depend on which device runs a block, the computed C
 /// tiles must become the result unchanged, unexecutable plans must be
 /// refused before any work, problems too large for host memory must be
-/// refused before any allocation, and the staging counters must describe
-/// what the packed stage arenas moved.
+/// refused before any allocation, the staging counters must describe
+/// what the packed stage arenas moved, and B must be generated in the
+/// order the devices consume it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bsm/block_sparse_matrix.hpp"
@@ -203,6 +207,83 @@ TEST(EngineStaging, ResultIsInvariantToDevicePlacement) {
     EXPECT_TRUE(bitwise_equal(alone.c, as_built.c))
         << "one device, segmented " << cs.segmented;
   }
+}
+
+TEST(EngineStaging, GenerationFollowsDeviceConsumptionOrder) {
+  // The node's one CPU queue generates B pieces round by round (a GPU's
+  // r-th block), piece by piece, GPU by GPU: every GPU's first piece is
+  // generated before any GPU's second, so no device waits for another
+  // device's whole block of B. The order is deterministic (one CPU queue
+  // per node) and moves no bit of C.
+  Rng rng(5);
+  const Tiling mt = Tiling::random_uniform(96, 8, 24, rng);
+  const Tiling kt = Tiling::random_uniform(480, 8, 24, rng);
+  const Tiling nt = Tiling::random_uniform(480, 8, 24, rng);
+  const BlockSparseMatrix a = BlockSparseMatrix::random(
+      Shape::random(mt, kt, 0.4, rng), rng);
+  const Shape b_shape = Shape::random(kt, nt, 0.4, rng);
+  const TileGenerator b_gen = random_tile_generator(b_shape, 17);
+  const Shape c_shape = contract_shape(a.shape(), b_shape);
+  MachineModel three = MachineModel::summit_gpus(3);
+  three.node.gpu.memory_bytes = 2.0e5;
+  const ExecutionPlan plan =
+      build_plan(a.shape(), b_shape, c_shape, three, {});
+
+  // Each B tile's (block round on its GPU, piece, GPU) in the plan.
+  using Slot = std::tuple<std::size_t, std::size_t, std::uint32_t>;
+  std::map<std::pair<std::size_t, std::size_t>, Slot> slot_of_tile;
+  std::map<std::uint32_t, std::size_t> rounds;
+  for (const BlockPlan& block : plan.nodes[0].blocks) {
+    const std::size_t round = rounds[block.gpu]++;
+    if (round == 0) {
+      ASSERT_GT(block.pieces.size(), 1u) << "a first block has one piece";
+    }
+    for (std::size_t pi = 0; pi < block.pieces.size(); ++pi) {
+      const std::size_t col = block.pieces[pi].col;
+      for (const std::size_t k : block.pieces[pi].ks) {
+        const Slot slot{round, pi, block.gpu};
+        ASSERT_TRUE(slot_of_tile.emplace(std::make_pair(k, col), slot).second);
+      }
+    }
+  }
+  ASSERT_EQ(rounds.size(), 3u);
+  for (const auto& [gpu, blocks] : rounds) {
+    ASSERT_GT(blocks, 1u) << "GPU " << gpu << " does not stream blocks";
+  }
+
+  std::mutex mu;
+  std::vector<Slot> order;
+  const TileGenerator recording = [&](std::size_t r, std::size_t c) {
+    {
+      std::lock_guard lock(mu);
+      order.push_back(slot_of_tile.at({r, c}));
+    }
+    return b_gen(r, c);
+  };
+  const EngineResult recorded = contract_with_plan(
+      plan, a, b_shape, recording, c_shape, nullptr, three, {});
+  ASSERT_EQ(order.size(), slot_of_tile.size());
+
+  // Every first piece of a GPU's first block precedes every other piece...
+  std::size_t last_lead = 0;
+  std::size_t first_other = order.size();
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    const auto& [round, piece, gpu] = order[t];
+    if (round == 0 && piece == 0) {
+      last_lead = t;
+    } else {
+      first_other = std::min(first_other, t);
+    }
+  }
+  EXPECT_LT(last_lead, first_other);
+  // ...and the whole sequence follows (round, piece, GPU).
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+
+  const EngineResult plain = contract_with_plan(
+      plan, a, b_shape, b_gen, c_shape, nullptr, three, {});
+  EXPECT_TRUE(bitwise_equal(recorded.c, plain.c));
+  EXPECT_EQ(recorded.b_max_generations, 1u);
+  EXPECT_EQ(plain.b_max_generations, 1u);
 }
 
 TEST(EngineStaging, AssembledCIsBitwiseUnchanged) {

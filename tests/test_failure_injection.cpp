@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -149,6 +151,89 @@ TEST(FailureInjection, PinnedTileSurvivesConcurrentChurn) {
   EXPECT_EQ(m.generation_count(0, 0), 1u);
   EXPECT_DOUBLE_EQ(pinned.at(0, 0), value);  // reference still valid
   m.release(0, 0);
+}
+
+TEST(FailureInjection, GeneratorThrowWakesWaitersOnSameTile) {
+  // The first generation of a tile throws while a second caller waits on
+  // the same tile. The failed claim is withdrawn and the waiter woken:
+  // both calls return (the waiter generates the tile itself), and the
+  // failure leaves nothing cached, claimed or counted.
+  const Shape s = Shape::dense(Tiling::uniform(16, 8),
+                               Tiling::uniform(16, 8));
+  const TileGenerator fill = random_tile_generator(s, 9);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool waiter_started = false;
+  std::atomic<int> calls{0};
+  OnDemandMatrix m(s, [&](std::size_t r, std::size_t c) -> Tile {
+    if (calls++ == 0) {
+      {
+        std::unique_lock lock(mu);
+        entered = true;
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return waiter_started; });
+      }
+      // Let the waiter block on the in-flight tile before failing.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw Error("integral evaluation failed");
+    }
+    return fill(r, c);
+  });
+
+  std::atomic<bool> first_threw{false};
+  std::atomic<bool> second_ok{false};
+  std::thread first([&] {
+    try {
+      m.acquire(0, 0);
+    } catch (const Error&) {
+      first_threw = true;
+    }
+  });
+  {
+    std::unique_lock lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return entered; });
+  }
+  std::thread second([&] {
+    {
+      std::lock_guard lock(mu);
+      waiter_started = true;
+    }
+    cv.notify_all();
+    try {
+      const Tile& t = m.acquire(0, 0);
+      second_ok = t.rows() == 8 && t.cols() == 8;
+      m.release(0, 0);
+    } catch (...) {
+    }
+  });
+  first.join();
+  second.join();
+  EXPECT_TRUE(first_threw.load());
+  EXPECT_TRUE(second_ok.load());
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(m.total_generations(), 1u);
+  EXPECT_EQ(m.cached_bytes(), 0u);
+  EXPECT_EQ(m.evict_unpinned(), 0u);
+
+  // A later acquire generates the tile again, with exact accounting.
+  const std::size_t bytes = m.acquire(0, 0).bytes();
+  EXPECT_EQ(m.generation_count(0, 0), 2u);
+  EXPECT_EQ(m.total_generations(), 2u);
+  EXPECT_EQ(m.cached_bytes(), bytes);
+  m.release(0, 0);
+  EXPECT_EQ(m.cached_bytes(), 0u);
+  EXPECT_EQ(m.peak_cached_bytes(), bytes);
+
+  // Wrong extents withdraw the claim the same way: every acquire fails
+  // cleanly, and nothing is cached or counted.
+  OnDemandMatrix wrong(s, [](std::size_t, std::size_t) { return Tile(1, 1); });
+  EXPECT_THROW(wrong.acquire(1, 1), Error);
+  EXPECT_THROW(wrong.acquire(1, 1), Error);
+  EXPECT_EQ(wrong.total_generations(), 0u);
+  EXPECT_EQ(wrong.cached_bytes(), 0u);
+  EXPECT_THROW(wrong.release(1, 1), Error);
 }
 
 // ---------------------------------------------------------------------------
