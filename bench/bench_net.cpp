@@ -17,6 +17,7 @@
 
 #include "bench_common.hpp"
 #include "net/net_transport.hpp"
+#include "obs/obs.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
 
@@ -25,8 +26,17 @@ using namespace bstc::net;
 
 namespace {
 
+/// A transport for `rank` counting into its own registry, as a worker
+/// rank's does.
+std::unique_ptr<NetTransport> rank_transport(obs::Registry& reg, int nodes,
+                                             int rank,
+                                             std::vector<PeerLink> links) {
+  obs::ScopedRegistry bind(reg);
+  return std::make_unique<NetTransport>(nodes, rank, std::move(links));
+}
+
 struct LoopbackPair {
-  WireCounters counters;
+  obs::Registry reg0, reg1;
   std::unique_ptr<NetTransport> t0, t1;
 
   LoopbackPair() {
@@ -36,10 +46,10 @@ struct LoopbackPair {
     }
     std::vector<PeerLink> l0;
     l0.push_back(PeerLink{1, Socket(fds[0])});
-    t0 = std::make_unique<NetTransport>(2, 0, std::move(l0), &counters);
+    t0 = rank_transport(reg0, 2, 0, std::move(l0));
     std::vector<PeerLink> l1;
     l1.push_back(PeerLink{0, Socket(fds[1])});
-    t1 = std::make_unique<NetTransport>(2, 1, std::move(l1), &counters);
+    t1 = rank_transport(reg1, 2, 1, std::move(l1));
   }
 };
 
@@ -87,7 +97,7 @@ SweepPoint sweep_one(Index extent) {
 /// `n` fully meshed in-process ranks over socket pairs — the broadcast
 /// sweep's stand-in for one grid row of the distributed engine.
 struct LoopbackMesh {
-  std::vector<std::unique_ptr<WireCounters>> counters;
+  std::vector<std::unique_ptr<obs::Registry>> regs;
   std::vector<std::unique_ptr<NetTransport>> t;
 
   explicit LoopbackMesh(int n) {
@@ -105,10 +115,9 @@ struct LoopbackMesh {
       }
     }
     for (int r = 0; r < n; ++r) {
-      counters.push_back(std::make_unique<WireCounters>());
-      t.push_back(std::make_unique<NetTransport>(
-          n, r, std::move(links[static_cast<std::size_t>(r)]),
-          counters.back().get()));
+      regs.push_back(std::make_unique<obs::Registry>());
+      t.push_back(rank_transport(
+          *regs.back(), n, r, std::move(links[static_cast<std::size_t>(r)])));
     }
   }
 };

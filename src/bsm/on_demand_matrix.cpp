@@ -51,10 +51,10 @@ OnDemandMatrix::Entry& OnDemandMatrix::locate_or_generate(
   cached_bytes_ += entry.tile.bytes();
   peak_cached_bytes_ = std::max(peak_cached_bytes_, cached_bytes_);
   ++generations_[k];
-  // Process-wide generation counter: the distributed-serve metrics
-  // gather sums this across ranks to prove one-materialization-per-node
-  // (with a shared store it stays 0 on every worker).
-  obs::Registry::instance().counter_add("bstc_b_tiles_generated_total");
+  // The rank's generation counter: the distributed-serve metrics gather
+  // sums this across ranks to prove one-materialization-per-node (with a
+  // shared store it stays 0 on every worker).
+  obs::Registry::current().counter_add("bstc_b_tiles_generated_total");
   published_.notify_all();
   return entry;
 }

@@ -203,7 +203,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   Timer timer;
   // The serial head (state, stage layout, graph) and tail (assembly) of
   // the call are phase spans on the caller's lane, beside the task spans.
-  obs::Registry& reg = obs::Registry::instance();
+  obs::Registry& reg = obs::Registry::current();
   const double build_start = reg.now();
   const int num_nodes = plan.grid.nodes();
   // Tile homes are 2D-cyclic over grid *slots*; the grid's layout maps

@@ -139,7 +139,7 @@ ServiceStatus ProgramRunner::run(std::uint64_t a_seed, ProgramResult& result) {
   const std::size_t n = lp.nodes.size();
   result.nodes.resize(n);
   Timer wall;
-  obs::Registry& reg = obs::Registry::instance();
+  obs::Registry& reg = obs::Registry::current();
   obs::ScopedSpan program_span(obs::Category::kExprTerm,
                                "program(" + lp.program.name + ")");
 
@@ -294,6 +294,7 @@ ServiceStatus ProgramRunner::run(std::uint64_t a_seed, ProgramResult& result) {
   };
 
   auto worker = [&]() {
+    obs::ScopedRegistry bind(reg);
     for (;;) {
       int id = -1;
       {

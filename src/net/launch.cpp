@@ -12,7 +12,6 @@
 #include "comm/comm.hpp"
 #include "core/engine.hpp"
 #include "machine/topology.hpp"
-#include "net/counters.hpp"
 #include "net/net_transport.hpp"
 #include "shm/bcast_ring.hpp"
 #include "obs/obs.hpp"
@@ -77,44 +76,14 @@ double probe_clock_offset(NetTransport& nt, obs::Registry& reg, int peer) {
   return offset;
 }
 
-/// Where a rank's own accounting starts. A forked rank inherits its
-/// parent's wire totals and spans; it reports only what accrued since.
-struct RankOrigin {
-  WireCounterSnapshot wire;
-  double start_s = 0.0;
-};
-
-/// Snapshot this rank's spans and wire totals atomically (the same lock
-/// the comm instrumentation commits under, so span byte sums equal the
-/// counter totals exactly).
-obs::RankTrace snapshot_local_trace(obs::Registry& reg,
-                                    WireCounters& counters,
-                                    const RankOrigin& origin, int rank) {
-  obs::RankTrace t;
-  t.rank = static_cast<std::uint32_t>(rank);
-  WireCounterSnapshot wc;
-  t.spans = reg.spans_with(
-      [&] { wc = counters.snapshot().since(origin.wire); });
-  std::erase_if(t.spans, [&](const obs::Span& s) {
-    return s.start_s < origin.start_s;
-  });
-  t.lane_names = reg.lane_names();
-  t.wire_frames_sent = wc.frames_sent;
-  t.wire_frames_received = wc.frames_received;
-  t.wire_bytes_sent = wc.bytes_sent;
-  t.wire_bytes_received = wc.bytes_received;
-  return t;
-}
-
 /// Post-barrier trace gather. Rank 0 probes each peer in turn and
 /// collects its kTrace; peers answer probes until the done-probe, then
 /// snapshot and ship. Runs strictly between the final barrier and the
 /// summaries, so every algorithm frame is already on the books; frames
 /// sent *during* the gather stay consistent too, because span and
 /// counter commit under one registry lock.
-void gather_and_write_trace(NetTransport& nt, obs::Registry& reg,
-                            WireCounters& counters, const RankOrigin& origin,
-                            int rank, int np, const std::string& path) {
+void gather_and_write_trace(NetTransport& nt, obs::Registry& reg, int rank,
+                            int np, const std::string& path) {
   if (rank == 0) {
     std::vector<obs::RankTrace> traces;
     traces.reserve(static_cast<std::size_t>(np));
@@ -139,7 +108,7 @@ void gather_and_write_trace(NetTransport& nt, obs::Registry& reg,
       traces.push_back(std::move(t));
     }
     // Rank 0 snapshots itself last, with offset 0 by definition.
-    traces.push_back(snapshot_local_trace(reg, counters, origin, 0));
+    traces.push_back(obs::rank_trace(reg, 0));
     obs::write_merged_trace(path, traces);
   } else {
     while (true) {
@@ -154,7 +123,7 @@ void gather_and_write_trace(NetTransport& nt, obs::Registry& reg,
       nt.post(0, encode_clock_reply(reply));
     }
     const obs::RankTrace local =
-        snapshot_local_trace(reg, counters, origin, rank);
+        obs::rank_trace(reg, static_cast<std::uint32_t>(rank));
     TraceMsg msg;
     msg.rank = local.rank;
     msg.wire_frames_sent = local.wire_frames_sent;
@@ -212,9 +181,12 @@ std::vector<std::string> spec_to_flags(const NetProblemSpec& spec) {
 }
 
 int run_worker(const WorkerOptions& opts) {
-  WireCounters& counters = global_wire_counters();
-  obs::Registry& reg = obs::Registry::instance();
-  const RankOrigin origin{counters.snapshot(), reg.now()};
+  // The rank's own registry, bound here and (through NetTransport and
+  // the engine) on every thread the rank starts: its spans, wire totals
+  // and counters start from zero, whether it was forked or runs on a
+  // thread.
+  obs::Registry reg;
+  obs::ScopedRegistry bind(reg);
   if (!opts.trace_out.empty()) reg.set_enabled(true);
   const std::uint32_t main_lane = obs::thread_lane();
   if (reg.enabled()) reg.name_lane(main_lane, "main");
@@ -230,7 +202,7 @@ int run_worker(const WorkerOptions& opts) {
   // welcome-table entry is connectable by the time it is published.
   Listener mesh(opts.host, 0);
   Socket launcher =
-      connect_with_retry(opts.host, opts.port, opts.retry, &counters);
+      connect_with_retry(opts.host, opts.port, opts.retry);
   const BuiltProblem prob = build_problem(opts.spec);
 
   HelloMsg hello;
@@ -239,9 +211,9 @@ int run_worker(const WorkerOptions& opts) {
   hello.listen_port = mesh.local_port();
   hello.fingerprint = prob.fingerprint;
   hello.node_id = static_cast<std::uint32_t>(opts.node_id);
-  send_frame(launcher, encode_hello(hello), &counters);
+  send_frame(launcher, encode_hello(hello));
 
-  std::optional<Frame> wf = recv_frame(launcher, &counters);
+  std::optional<Frame> wf = recv_frame(launcher);
   BSTC_REQUIRE(wf.has_value() && wf->type == FrameType::kWelcome,
                "worker: rendezvous closed before the welcome");
   const WelcomeMsg welcome = decode_welcome(*wf);
@@ -308,20 +280,20 @@ int run_worker(const WorkerOptions& opts) {
                                          .first,
                                      welcome.peers[static_cast<std::size_t>(s)]
                                          .second,
-                                     opts.retry, &counters);
+                                     opts.retry);
     HelloMsg id;
     id.rank = static_cast<std::uint32_t>(rank);
     id.np = static_cast<std::uint32_t>(np);
     id.listen_port = mesh.local_port();
     id.fingerprint = prob.fingerprint;
-    send_frame(sock, encode_hello(id), &counters);
+    send_frame(sock, encode_hello(id));
     links.push_back(PeerLink{s, std::move(sock)});
   }
   for (int c = rank + 1; c < np; ++c) {
     std::optional<Socket> sock = mesh.accept(60000);
     BSTC_REQUIRE(sock.has_value(),
                  "worker: timed out waiting for higher-rank mesh links");
-    std::optional<Frame> hf = recv_frame(*sock, &counters);
+    std::optional<Frame> hf = recv_frame(*sock);
     BSTC_REQUIRE(hf.has_value() && hf->type == FrameType::kHello,
                  "worker: expected a hello on a mesh link");
     const HelloMsg peer = decode_hello(*hf);
@@ -333,7 +305,7 @@ int run_worker(const WorkerOptions& opts) {
     links.push_back(PeerLink{static_cast<int>(peer.rank), std::move(*sock)});
   }
 
-  NetTransport nt(np, rank, std::move(links), &counters);
+  NetTransport nt(np, rank, std::move(links));
   nt.configure_bcast(BcastConfig{welcome.bcast, node_of});
   if (use_shm) {
     // Every rank created its ring before the mesh, so after this barrier
@@ -418,8 +390,8 @@ int run_worker(const WorkerOptions& opts) {
 
   // --- Gather every home-owned tile on rank 0 for verification. This
   // traffic is runtime plumbing, not part of the algorithm, so it counts
-  // only in WireCounters — never in the CommRecorder the plan statistics
-  // are checked against.
+  // only in the registry's wire counters — never in the CommRecorder the
+  // plan statistics are checked against.
   VerdictMsg verdict;
   if (rank == 0) {
     BlockSparseMatrix full(prob.c_shape);
@@ -487,8 +459,7 @@ int run_worker(const WorkerOptions& opts) {
   // Everything the algorithm sent is on the books; collect the per-rank
   // traces into one merged timeline before the summaries go out.
   if (!opts.trace_out.empty()) {
-    gather_and_write_trace(nt, reg, counters, origin, rank, np,
-                           opts.trace_out);
+    gather_and_write_trace(nt, reg, rank, np, opts.trace_out);
     end_phase("trace-gather");
   }
 
@@ -500,36 +471,26 @@ int run_worker(const WorkerOptions& opts) {
   // engine already returned, so the engine-call delta would undercount.
   summary.a_wire_bytes = nt.recorder().total_bytes() - nt.c_wire_bytes();
   summary.c_wire_bytes = nt.c_wire_bytes();
-  const WireCounterSnapshot wc = counters.snapshot().since(origin.wire);
-  summary.frames_sent = wc.frames_sent;
-  summary.frames_received = wc.frames_received;
-  summary.connect_retries = wc.connect_retries;
-  summary.reconnects = wc.reconnects;
+  summary.frames_sent = reg.counter("bstc_wire_frames_sent_total");
+  summary.frames_received = reg.counter("bstc_wire_frames_received_total");
+  summary.connect_retries = reg.counter("bstc_wire_connect_retries_total");
+  summary.reconnects = reg.counter("bstc_wire_reconnects_total");
   summary.tasks_executed = res.tasks_executed;
   summary.engine_seconds = res.wall_seconds;
-  summary.a_inter_bytes = static_cast<double>(wc.a_payload_inter_bytes);
-  summary.a_intra_bytes = static_cast<double>(wc.a_payload_intra_bytes);
-  summary.shm_bytes = static_cast<double>(wc.shm_payload_bytes);
-  summary.bcast_frames = wc.bcast_frames_sent;
-  summary.bcast_fwd_frames = wc.bcast_fwd_frames_sent;
-  summary.shm_publishes = wc.shm_publishes;
-  {
-    // Rank-labelled Prometheus lines; the launch CLI concatenates them
-    // into one exposition file (--metrics-out).
-    const auto metric = [&](const char* name, std::uint64_t v) {
-      summary.metrics_text += std::string(name) + "{rank=\"" +
-                              std::to_string(rank) + "\"} " +
-                              std::to_string(v) + "\n";
-    };
-    metric("bstc_bcast_frames_total", wc.bcast_frames_sent);
-    metric("bstc_bcast_fwd_frames_total", wc.bcast_fwd_frames_sent);
-    metric("bstc_bcast_inter_bytes_total", wc.a_payload_inter_bytes);
-    metric("bstc_bcast_intra_bytes_total", wc.a_payload_intra_bytes);
-    metric("bstc_bcast_shm_bytes_total", wc.shm_payload_bytes);
-    metric("bstc_bcast_shm_publishes_total", wc.shm_publishes);
-  }
-  send_frame(launcher, encode_summary(summary), &counters);
-  if (rank == 0) send_frame(launcher, encode_verdict(verdict), &counters);
+  summary.a_inter_bytes =
+      static_cast<double>(reg.counter("bstc_bcast_inter_bytes_total"));
+  summary.a_intra_bytes =
+      static_cast<double>(reg.counter("bstc_bcast_intra_bytes_total"));
+  summary.shm_bytes =
+      static_cast<double>(reg.counter("bstc_bcast_shm_bytes_total"));
+  summary.bcast_frames = reg.counter("bstc_bcast_frames_total");
+  summary.bcast_fwd_frames = reg.counter("bstc_bcast_fwd_frames_total");
+  summary.shm_publishes = reg.counter("bstc_bcast_shm_publishes_total");
+  // Rank-labelled Prometheus lines; the launch CLI concatenates them into
+  // one exposition file (--metrics-out).
+  summary.metrics_text = obs::prometheus_text(reg, rank);
+  send_frame(launcher, encode_summary(summary));
+  if (rank == 0) send_frame(launcher, encode_verdict(verdict));
 
   nt.shutdown("run complete");
   launcher.close();
@@ -562,7 +523,7 @@ LaunchReport run_launcher(const LaunchOptions& opts, const SpawnFn& spawn,
                  "launch: timed out waiting for worker hellos");
     std::optional<Socket> sock = rendezvous.accept(200);
     if (!sock.has_value()) continue;
-    std::optional<Frame> hf = recv_frame(*sock, nullptr);
+    std::optional<Frame> hf = recv_frame(*sock);
     BSTC_REQUIRE(hf.has_value() && hf->type == FrameType::kHello,
                  "launch: a connection closed before its hello");
     const HelloMsg hello = decode_hello(*hf);
@@ -594,14 +555,14 @@ LaunchReport run_launcher(const LaunchOptions& opts, const SpawnFn& spawn,
   for (int r = 0; r < np; ++r) {
     welcome.rank = static_cast<std::uint32_t>(r);
     send_frame(pending[static_cast<std::size_t>(r)].sock,
-               encode_welcome(welcome), nullptr);
+               encode_welcome(welcome));
   }
 
   LaunchReport report;
   report.summaries.resize(static_cast<std::size_t>(np));
   for (int r = 0; r < np; ++r) {
     Socket& sock = pending[static_cast<std::size_t>(r)].sock;
-    std::optional<Frame> sf = recv_frame(sock, nullptr);
+    std::optional<Frame> sf = recv_frame(sock);
     BSTC_REQUIRE(sf.has_value() && sf->type == FrameType::kSummary,
                  "launch: rank " + std::to_string(r) +
                      " closed before reporting its summary");
@@ -615,7 +576,7 @@ LaunchReport run_launcher(const LaunchOptions& opts, const SpawnFn& spawn,
     report.total_a_intra_bytes += summary.a_intra_bytes;
     report.total_shm_bytes += summary.shm_bytes;
     if (r == 0) {
-      std::optional<Frame> vf = recv_frame(sock, nullptr);
+      std::optional<Frame> vf = recv_frame(sock);
       BSTC_REQUIRE(vf.has_value() && vf->type == FrameType::kVerdict,
                    "launch: rank 0 closed before its verdict");
       report.verdict = decode_verdict(*vf);

@@ -6,9 +6,8 @@
 
 namespace bstc::net {
 
-NetTransport::NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
-                           WireCounters* counters)
-    : Transport(nodes), rank_(rank), counters_(counters),
+NetTransport::NetTransport(int nodes, int rank, std::vector<PeerLink> peers)
+    : Transport(nodes), rank_(rank), reg_(obs::Registry::current()),
       links_(std::move(peers)) {
   BSTC_REQUIRE(rank_ >= 0 && rank_ < nodes, "net: rank out of range");
   for (const PeerLink& link : links_) {
@@ -16,11 +15,25 @@ NetTransport::NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
                  "net: peer link with an invalid rank");
     BSTC_REQUIRE(link.socket.valid(), "net: peer link with a closed socket");
   }
+  // The broadcast counters are this transport's: exposed from the start,
+  // so a rank that sent no broadcast frame reports 0, not nothing.
+  for (const char* name :
+       {"bstc_bcast_frames_total", "bstc_bcast_fwd_frames_total",
+        "bstc_bcast_inter_bytes_total", "bstc_bcast_intra_bytes_total",
+        "bstc_bcast_shm_bytes_total", "bstc_bcast_shm_publishes_total"}) {
+    reg_.counter_add(name, 0);
+  }
   rx_threads_.reserve(links_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    rx_threads_.emplace_back([this, i] { receive_loop(i); });
+    rx_threads_.emplace_back([this, i] {
+      obs::ScopedRegistry bind(reg_);
+      receive_loop(i);
+    });
   }
-  progress_thread_ = std::thread([this] { progress_loop(); });
+  progress_thread_ = std::thread([this] {
+    obs::ScopedRegistry bind(reg_);
+    progress_loop();
+  });
 }
 
 NetTransport::~NetTransport() {
@@ -71,7 +84,10 @@ void NetTransport::enable_shm_bcast(shm::BcastRing* own_ring,
   for (shm::BcastRing* ring : peer_rings_) {
     BSTC_REQUIRE(ring != nullptr && !ring->is_writer(),
                  "net: peer staging rings must be attached (reader) side");
-    ring_threads_.emplace_back([this, ring] { ring_reader_loop(ring); });
+    ring_threads_.emplace_back([this, ring] {
+      obs::ScopedRegistry bind(reg_);
+      ring_reader_loop(ring);
+    });
   }
 }
 
@@ -112,7 +128,6 @@ void NetTransport::dispatch_bcast(const Frame& frame,
                                   const std::vector<int>& children,
                                   std::size_t tile_bytes) {
   if (children.empty()) return;
-  obs::Registry& reg = obs::Registry::instance();
   const bool is_bcast_frame = frame.type == FrameType::kBcast ||
                               frame.type == FrameType::kBcastFwd;
   const bool forwarded = frame.type == FrameType::kBcastFwd;
@@ -123,29 +138,25 @@ void NetTransport::dispatch_bcast(const Frame& frame,
     // Sender-side hop accounting: the originator of each hop records it,
     // so summing recorder totals over ranks counts every hop once.
     recorder_.record(rank_, child, static_cast<double>(tile_bytes));
-    if (counters_ != nullptr) counters_->add_a_payload(!intra, tile_bytes);
-    reg.counter_add(intra ? "bstc_bcast_intra_bytes_total"
-                          : "bstc_bcast_inter_bytes_total",
-                    static_cast<std::uint64_t>(tile_bytes));
+    reg_.counter_add(intra ? "bstc_bcast_intra_bytes_total"
+                           : "bstc_bcast_inter_bytes_total",
+                     static_cast<std::uint64_t>(tile_bytes));
     if (intra && own_ring_ != nullptr) {
       ring_mask |= std::uint64_t{1} << child;
-      if (counters_ != nullptr) counters_->add_shm_payload(tile_bytes);
-      reg.counter_add("bstc_bcast_shm_bytes_total",
-                      static_cast<std::uint64_t>(tile_bytes));
+      reg_.counter_add("bstc_bcast_shm_bytes_total",
+                       static_cast<std::uint64_t>(tile_bytes));
       continue;
     }
     post(child, Frame{frame.type, frame.payload});
     if (is_bcast_frame) {
-      if (counters_ != nullptr) counters_->add_bcast_frame_sent(forwarded);
-      reg.counter_add(forwarded ? "bstc_bcast_fwd_frames_total"
-                                : "bstc_bcast_frames_total");
+      reg_.counter_add(forwarded ? "bstc_bcast_fwd_frames_total"
+                                 : "bstc_bcast_frames_total");
     }
   }
   if (ring_mask != 0) {
     own_ring_->publish(ring_mask, static_cast<std::uint8_t>(frame.type),
                        frame.payload.data(), frame.payload.size());
-    if (counters_ != nullptr) counters_->add_shm_publish();
-    reg.counter_add("bstc_bcast_shm_publishes_total");
+    reg_.counter_add("bstc_bcast_shm_publishes_total");
   }
 }
 
@@ -215,8 +226,8 @@ void NetTransport::post(int peer, Frame frame) {
     depth = tx_queue_.size();
     tx_cv_.notify_one();
   }
-  obs::Registry::instance().gauge_set("bstc_net_tx_queue_depth",
-                                      static_cast<std::int64_t>(depth));
+  reg_.gauge_set("bstc_net_tx_queue_depth",
+                 static_cast<std::int64_t>(depth));
 }
 
 std::pair<int, Frame> NetTransport::wait_frame(FrameType type) {
@@ -312,12 +323,11 @@ void NetTransport::fail(const std::string& reason) {
     if (failed_.exchange(true)) return;  // first failure wins
     fail_reason_ = reason;
   }
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter_add("bstc_net_poison_total");
-  if (reg.enabled()) {
+  reg_.counter_add("bstc_net_poison_total");
+  if (reg_.enabled()) {
     // Instant event: when the transport was poisoned, and why.
-    const double t = reg.now();
-    reg.record(obs::Category::kCommRx, "poison: " + reason,
+    const double t = reg_.now();
+    reg_.record(obs::Category::kCommRx, "poison: " + reason,
                obs::thread_lane(), t, t);
   }
   {
@@ -342,12 +352,11 @@ void NetTransport::progress_loop() {
       if (failed_.load()) return;     // drop the queue on failure
       item = std::move(tx_queue_.front());
       tx_queue_.pop_front();
-      obs::Registry::instance().gauge_set(
-          "bstc_net_tx_queue_depth",
-          static_cast<std::int64_t>(tx_queue_.size()));
+      reg_.gauge_set("bstc_net_tx_queue_depth",
+                     static_cast<std::int64_t>(tx_queue_.size()));
     }
     try {
-      send_frame(link_of(item.first).socket, item.second, counters_);
+      send_frame(link_of(item.first).socket, item.second);
     } catch (const std::exception& e) {
       {
         // During orderly shutdown the peer may already have cut its link
@@ -367,7 +376,7 @@ void NetTransport::receive_loop(std::size_t link_index) {
   PeerLink& link = links_[link_index];
   try {
     while (true) {
-      std::optional<Frame> frame = recv_frame(link.socket, counters_);
+      std::optional<Frame> frame = recv_frame(link.socket);
       if (!frame.has_value()) {
         std::unique_lock lock(rx_mutex_);
         if (!shutting_down_ && !failed_.load()) {

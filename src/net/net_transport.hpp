@@ -30,6 +30,7 @@
 #include "comm/bcast.hpp"
 #include "comm/transport.hpp"
 #include "net/socket.hpp"
+#include "obs/obs.hpp"
 #include "shm/bcast_ring.hpp"
 
 namespace bstc::net {
@@ -50,11 +51,12 @@ struct BcastConfig {
 class NetTransport : public Transport {
  public:
   /// `peers` must hold one connected link per remote rank (np - 1 links
-  /// for a full mesh). `counters` (optional) receives wire-level counts;
-  /// the CommRecorder inherited from Transport receives the payload-level
-  /// tile accounting that is compared against plan statistics.
-  NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
-               WireCounters* counters = nullptr);
+  /// for a full mesh). Wire and broadcast counts go to the rank's
+  /// registry — obs::Registry::current() at construction, which the
+  /// transport's threads bind; the CommRecorder inherited from Transport
+  /// receives the payload-level tile accounting that is compared against
+  /// plan statistics.
+  NetTransport(int nodes, int rank, std::vector<PeerLink> peers);
   ~NetTransport() override;
 
   int rank() const { return rank_; }
@@ -70,7 +72,8 @@ class NetTransport : public Transport {
   /// children), receivers recompute theirs from the self-describing
   /// frame, and co-located children are served through the shm staging
   /// ring when enabled. Per-hop payload bytes land in the CommRecorder
-  /// (sender side of each hop) and in the WireCounters intra/inter split.
+  /// (sender side of each hop) and in the registry's
+  /// `bstc_bcast_{inter,intra}_bytes_total` split.
   void send_multi(int from, const std::vector<int>& consumers,
                   std::uint64_t key, const Tile& tile) override;
 
@@ -127,7 +130,7 @@ class NetTransport : public Transport {
   void ring_reader_loop(shm::BcastRing* ring);
 
   int rank_;
-  WireCounters* counters_;
+  obs::Registry& reg_;
   std::vector<PeerLink> links_;
   std::vector<std::thread> rx_threads_;
   std::thread progress_thread_;

@@ -1,6 +1,7 @@
 #include "net/serve.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
@@ -136,87 +137,44 @@ ServiceStatus response_to_outcome(const ResponseMsg& msg,
 // ---------------------------------------------------------------------------
 // Metrics gather.
 
-std::vector<std::uint64_t> pack_rank_counters(const ServiceMetrics& m) {
-  std::vector<std::uint64_t> c(kServeRankCounterCount, 0);
-  c[kCtrSubmitted] = m.submitted;
-  c[kCtrRejected] = m.rejected;
-  c[kCtrCompleted] = m.completed;
-  c[kCtrFailed] = m.failed;
-  c[kCtrPlanHits] = m.plan_cache.hits;
-  c[kCtrPlanMisses] = m.plan_cache.misses;
-  c[kCtrPlanEvictions] = m.plan_cache.evictions;
-  c[kCtrPlanSize] = m.plan_cache.size;
-  c[kCtrSessionsOpened] = m.sessions_opened;
-  c[kCtrSessionsClosed] = m.sessions_closed;
-  c[kCtrIterations] = m.iterations;
-  c[kCtrExplains] = m.explains;
-  c[kCtrBTilesGenerated] = m.b_tiles_generated;
-  c[kCtrShmStoreBuilds] = m.shm_store_builds;
-  c[kCtrShmAttaches] = m.shm_attaches;
-  c[kCtrShmSwaps] = m.shm_swaps;
-  c[kCtrShmResidentBytes] = m.shm_resident_bytes;
-  c[kCtrShmGeneration] = m.shm_generation;
-  c[kCtrExprPrograms] = m.expr_programs;
-  c[kCtrExprNodes] = m.expr_nodes;
-  c[kCtrExprIntermediatesBuilt] = m.expr_intermediates_built;
-  c[kCtrExprIntermediateReuse] = m.expr_intermediate_reuse;
-  c[kCtrExprIntermediatesReleased] = m.expr_intermediates_released;
-  return c;
-}
-
-ServeRankMetrics unpack_rank_metrics(const ServiceCtlMsg& msg) {
-  BSTC_REQUIRE(msg.op == ServiceCtlOp::kMetricsReply,
-               "serve: expected a metrics reply");
-  BSTC_REQUIRE(msg.counters.size() >= kServeRankCounterCount,
-               "serve: short metrics counter vector");
-  ServeRankMetrics m;
-  m.rank = static_cast<int>(msg.rank);
-  m.submitted = msg.counters[kCtrSubmitted];
-  m.rejected = msg.counters[kCtrRejected];
-  m.completed = msg.counters[kCtrCompleted];
-  m.failed = msg.counters[kCtrFailed];
-  m.plan_hits = msg.counters[kCtrPlanHits];
-  m.plan_misses = msg.counters[kCtrPlanMisses];
-  m.plan_evictions = msg.counters[kCtrPlanEvictions];
-  m.plan_size = msg.counters[kCtrPlanSize];
-  m.sessions_opened = msg.counters[kCtrSessionsOpened];
-  m.sessions_closed = msg.counters[kCtrSessionsClosed];
-  m.iterations = msg.counters[kCtrIterations];
-  m.explains = msg.counters[kCtrExplains];
-  m.b_tiles_generated = msg.counters[kCtrBTilesGenerated];
-  m.shm_store_builds = msg.counters[kCtrShmStoreBuilds];
-  m.shm_attaches = msg.counters[kCtrShmAttaches];
-  m.shm_swaps = msg.counters[kCtrShmSwaps];
-  m.shm_resident_bytes = msg.counters[kCtrShmResidentBytes];
-  m.shm_generation = msg.counters[kCtrShmGeneration];
-  m.expr_programs = msg.counters[kCtrExprPrograms];
-  m.expr_nodes = msg.counters[kCtrExprNodes];
-  m.expr_intermediates_built = msg.counters[kCtrExprIntermediatesBuilt];
-  m.expr_intermediate_reuse = msg.counters[kCtrExprIntermediateReuse];
-  m.expr_intermediates_released =
-      msg.counters[kCtrExprIntermediatesReleased];
-  m.prometheus = msg.text;
-  return m;
+std::uint64_t ServeRankMetrics::metric(std::string_view name) const {
+  const std::string series =
+      std::string(name) + "{rank=\"" + std::to_string(rank) + "\"} ";
+  for (std::size_t pos = 0; pos < prometheus.size();) {
+    const std::size_t eol = prometheus.find('\n', pos);
+    const std::string_view line = std::string_view(prometheus).substr(
+        pos, eol == std::string::npos ? std::string::npos : eol - pos);
+    if (line.starts_with(series)) {
+      std::uint64_t value = 0;
+      std::from_chars(line.data() + series.size(), line.data() + line.size(),
+                      value);
+      return value;
+    }
+    if (eol == std::string::npos) break;
+    pos = eol + 1;
+  }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
 // Worker side.
 
 int run_serve_worker(const ServeWorkerOptions& opts) {
-  WireCounters& ctr = global_wire_counters();
-  Socket sock = connect_with_retry(opts.host, opts.port, opts.retry, &ctr);
+  // The rank's own registry, bound here and on every thread it starts:
+  // it counts this rank's work from zero, whether it was forked or runs
+  // on a thread next to sibling ranks.
+  obs::Registry reg;
+  obs::ScopedRegistry bind(reg);
+  Socket sock = connect_with_retry(opts.host, opts.port, opts.retry);
   HelloMsg hello;
   hello.rank = kUnassignedRank;
   hello.fingerprint = kServeProtocolId;
-  send_frame(sock, encode_hello(hello), &ctr);
-  const std::optional<Frame> welcome_frame = recv_frame(sock, &ctr);
+  send_frame(sock, encode_hello(hello));
+  const std::optional<Frame> welcome_frame = recv_frame(sock);
   if (!welcome_frame) return 1;
   const WelcomeMsg welcome = decode_welcome(*welcome_frame);
   const int rank = static_cast<int>(welcome.rank);
 
-  // The service starts first: its metrics count what accrued since, so
-  // the rank reports its own store attach but not the B tiles or wire
-  // traffic of a parent it was forked from.
   std::shared_ptr<shm::StoreRegistry> store;
   if (!opts.shm_ctl.empty()) store = std::make_shared<shm::StoreRegistry>();
   LocalService local(opts.service, rank, store);
@@ -236,7 +194,7 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
   std::mutex tx_mutex;
   const auto send = [&](const Frame& frame) {
     std::lock_guard lock(tx_mutex);
-    send_frame(sock, frame, &ctr);
+    send_frame(sock, frame);
   };
 
   // Dispatcher pool: the recv loop must stay responsive to control frames
@@ -253,6 +211,7 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
   pool.reserve(static_cast<std::size_t>(pool_size));
   for (int i = 0; i < pool_size; ++i) {
     pool.emplace_back([&] {
+      obs::ScopedRegistry bind_pool(reg);
       for (;;) {
         RequestMsg msg;
         {
@@ -287,7 +246,7 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
   int rc = 1;  // EOF without an orderly drain
   try {
     for (;;) {
-      const std::optional<Frame> frame = recv_frame(sock, &ctr);
+      const std::optional<Frame> frame = recv_frame(sock);
       if (!frame) break;
       if (frame->type == FrameType::kRequest) {
         {
@@ -298,12 +257,10 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
       } else if (frame->type == FrameType::kServiceCtl) {
         const ServiceCtlMsg ctl = decode_service_ctl(*frame);
         if (ctl.op == ServiceCtlOp::kMetricsQuery) {
-          const ServiceMetrics m = local.metrics();
           ServiceCtlMsg reply;
           reply.op = ServiceCtlOp::kMetricsReply;
           reply.rank = static_cast<std::uint32_t>(rank);
-          reply.counters = pack_rank_counters(m);
-          reply.text = metrics_prometheus(m, rank);
+          reply.text = metrics_prometheus(local.metrics(), reg, rank);
           send(encode_service_ctl(reply));
         } else if (ctl.op == ServiceCtlOp::kStoreSwap) {
           // Generation doorbell: re-read the control segment and swap.
@@ -360,7 +317,6 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
 std::vector<PeerLink> accept_serve_workers(
     Listener& listener, int n, int timeout_ms,
     const std::function<int()>& dead_poll) {
-  WireCounters& ctr = global_wire_counters();
   std::vector<PeerLink> links;
   links.reserve(static_cast<std::size_t>(n));
   Timer timer;
@@ -373,7 +329,7 @@ std::vector<PeerLink> accept_serve_workers(
     }
     std::optional<Socket> sock = listener.accept(200);
     if (!sock) continue;
-    const std::optional<Frame> hello_frame = recv_frame(*sock, &ctr);
+    const std::optional<Frame> hello_frame = recv_frame(*sock);
     if (!hello_frame) continue;  // connected then vanished; keep waiting
     const HelloMsg hello = decode_hello(*hello_frame);
     BSTC_REQUIRE(hello.fingerprint == kServeProtocolId,
@@ -382,7 +338,7 @@ std::vector<PeerLink> accept_serve_workers(
     WelcomeMsg welcome;
     welcome.rank = static_cast<std::uint32_t>(rank);
     welcome.np = static_cast<std::uint32_t>(n + 1);
-    send_frame(*sock, encode_welcome(welcome), &ctr);
+    send_frame(*sock, encode_welcome(welcome));
     links.push_back(PeerLink{rank, std::move(*sock)});
   }
   return links;
@@ -411,7 +367,7 @@ struct ServeRouter::Pending {
 };
 
 ServeRouter::ServeRouter(std::vector<PeerLink> workers, ServeRouterConfig cfg)
-    : cfg_(cfg) {
+    : cfg_(cfg), reg_(obs::Registry::current()) {
   BSTC_REQUIRE(!workers.empty(), "serve: router needs at least one worker");
   BSTC_REQUIRE(cfg_.max_inflight_per_worker >= 1,
                "serve: per-worker in-flight bound must be >= 1");
@@ -429,18 +385,20 @@ ServeRouter::ServeRouter(std::vector<PeerLink> workers, ServeRouterConfig cfg)
   }
   for (auto& w : workers_) {
     Worker* wp = w.get();
-    w->rx = std::thread([this, wp] { reader_loop(*wp); });
+    w->rx = std::thread([this, wp] {
+      obs::ScopedRegistry bind(reg_);
+      reader_loop(*wp);
+    });
   }
 }
 
 ServeRouter::~ServeRouter() { shutdown(); }
 
 void ServeRouter::reader_loop(Worker& w) {
-  WireCounters& ctr = global_wire_counters();
   for (;;) {
     std::optional<Frame> frame;
     try {
-      frame = recv_frame(w.sock, &ctr);
+      frame = recv_frame(w.sock);
     } catch (const std::exception&) {
       frame.reset();
     }
@@ -496,6 +454,18 @@ void ServeRouter::on_worker_dead(Worker& w) {
   w.inflight = 0;
   done_cv_.notify_all();
   ctl_cv_.notify_all();
+}
+
+void ServeRouter::send_to(Worker& w, const Frame& frame) {
+  try {
+    // Client threads send too; the router's traffic counts in its own
+    // registry whichever thread writes it.
+    obs::ScopedRegistry bind(reg_);
+    std::lock_guard tx(w.tx_mutex);
+    send_frame(w.sock, frame);
+  } catch (const std::exception&) {
+    on_worker_dead(w);  // fails its pending requests with kWorkerLost
+  }
 }
 
 int ServeRouter::pick_rank_locked(std::uint64_t routing_key) {
@@ -563,12 +533,7 @@ ServeRouter::Ticket ServeRouter::begin(const RequestMsg& msg) {
   }
   RequestMsg out = msg;
   out.request_id = ticket.request_id;
-  try {
-    std::lock_guard tx(worker->tx_mutex);
-    send_frame(worker->sock, encode_request(out), &global_wire_counters());
-  } catch (const std::exception&) {
-    on_worker_dead(*worker);  // fails our pending with kWorkerLost
-  }
+  send_to(*worker, encode_request(out));
   return ticket;
 }
 
@@ -607,13 +572,7 @@ std::vector<ServeRankMetrics> ServeRouter::gather_metrics() {
   query.op = ServiceCtlOp::kMetricsQuery;
   const Frame frame = encode_service_ctl(query);
   for (const int rank : targets) {
-    Worker& w = *workers_[static_cast<std::size_t>(rank) - 1];
-    try {
-      std::lock_guard tx(w.tx_mutex);
-      send_frame(w.sock, frame, &global_wire_counters());
-    } catch (const std::exception&) {
-      on_worker_dead(w);
-    }
+    send_to(*workers_[static_cast<std::size_t>(rank) - 1], frame);
   }
   std::vector<ServeRankMetrics> out;
   std::unique_lock lock(mutex_);
@@ -625,7 +584,7 @@ std::vector<ServeRankMetrics> ServeRouter::gather_metrics() {
   });
   for (const int rank : targets) {
     const Worker& w = *workers_[static_cast<std::size_t>(rank) - 1];
-    if (w.metrics_ready) out.push_back(unpack_rank_metrics(w.metrics_reply));
+    if (w.metrics_ready) out.push_back({rank, w.metrics_reply.text});
   }
   return out;
 }
@@ -647,13 +606,7 @@ std::size_t ServeRouter::swap_store(std::size_t* failed,
   doorbell.op = ServiceCtlOp::kStoreSwap;
   const Frame frame = encode_service_ctl(doorbell);
   for (const int rank : targets) {
-    Worker& w = *workers_[static_cast<std::size_t>(rank) - 1];
-    try {
-      std::lock_guard tx(w.tx_mutex);
-      send_frame(w.sock, frame, &global_wire_counters());
-    } catch (const std::exception&) {
-      on_worker_dead(w);
-    }
+    send_to(*workers_[static_cast<std::size_t>(rank) - 1], frame);
   }
   std::size_t swapped = 0;
   std::unique_lock lock(mutex_);
@@ -685,15 +638,10 @@ std::size_t ServeRouter::swap_store(std::size_t* failed,
 void ServeRouter::crash_worker(int rank) {
   BSTC_REQUIRE(rank >= 1 && rank <= static_cast<int>(workers_.size()),
                "serve: crash_worker rank out of range");
-  Worker& w = *workers_[static_cast<std::size_t>(rank) - 1];
   ServiceCtlMsg ctl;
   ctl.op = ServiceCtlOp::kCrash;
-  try {
-    std::lock_guard tx(w.tx_mutex);
-    send_frame(w.sock, encode_service_ctl(ctl), &global_wire_counters());
-  } catch (const std::exception&) {
-    on_worker_dead(w);
-  }
+  send_to(*workers_[static_cast<std::size_t>(rank) - 1],
+          encode_service_ctl(ctl));
 }
 
 int ServeRouter::owner_of(std::uint64_t routing_key) const {
@@ -730,13 +678,7 @@ void ServeRouter::shutdown() {
       std::lock_guard lock(mutex_);
       alive = w->alive;
     }
-    if (!alive) continue;
-    try {
-      std::lock_guard tx(w->tx_mutex);
-      send_frame(w->sock, frame, &global_wire_counters());
-    } catch (const std::exception&) {
-      on_worker_dead(*w);
-    }
+    if (alive) send_to(*w, frame);
   }
   {
     std::unique_lock lock(mutex_);

@@ -31,12 +31,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "net/net_transport.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/obs.hpp"
 #include "service/local_service.hpp"
 #include "service/serve_api.hpp"
 
@@ -69,69 +71,17 @@ ServiceStatus response_to_outcome(const ResponseMsg& msg,
 // ---------------------------------------------------------------------------
 // Per-rank metrics gather.
 
-/// Ordered layout of ServiceCtlMsg::counters in a kMetricsReply.
-enum ServeRankCounter : std::size_t {
-  kCtrSubmitted = 0,
-  kCtrRejected,
-  kCtrCompleted,
-  kCtrFailed,
-  kCtrPlanHits,
-  kCtrPlanMisses,
-  kCtrPlanEvictions,
-  kCtrPlanSize,
-  kCtrSessionsOpened,
-  kCtrSessionsClosed,
-  kCtrIterations,
-  kCtrExplains,
-  // Shared-memory data plane (appended; both ends of one serve mesh run
-  // the same binary, and unpack tolerates longer vectors).
-  kCtrBTilesGenerated,
-  kCtrShmStoreBuilds,
-  kCtrShmAttaches,
-  kCtrShmSwaps,
-  kCtrShmResidentBytes,
-  kCtrShmGeneration,
-  // Contraction-program layer (appended, same compatibility rule).
-  kCtrExprPrograms,
-  kCtrExprNodes,
-  kCtrExprIntermediatesBuilt,
-  kCtrExprIntermediateReuse,
-  kCtrExprIntermediatesReleased,
-  kServeRankCounterCount,
-};
-
-std::vector<std::uint64_t> pack_rank_counters(const ServiceMetrics& m);
-
-/// One worker rank's counters as gathered by the front.
+/// One worker rank's metrics as gathered by the front: the rank's
+/// labelled exposition (metrics_prometheus over its registry), carried
+/// in the kMetricsReply text and read by series name.
 struct ServeRankMetrics {
   int rank = -1;
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
-  std::uint64_t plan_evictions = 0;
-  std::uint64_t plan_size = 0;
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t sessions_closed = 0;
-  std::uint64_t iterations = 0;
-  std::uint64_t explains = 0;
-  std::uint64_t b_tiles_generated = 0;  ///< local B materializations
-  std::uint64_t shm_store_builds = 0;
-  std::uint64_t shm_attaches = 0;
-  std::uint64_t shm_swaps = 0;
-  std::uint64_t shm_resident_bytes = 0;
-  std::uint64_t shm_generation = 0;
-  std::uint64_t expr_programs = 0;  ///< program iterations this rank ran
-  std::uint64_t expr_nodes = 0;
-  std::uint64_t expr_intermediates_built = 0;
-  std::uint64_t expr_intermediate_reuse = 0;
-  std::uint64_t expr_intermediates_released = 0;
   std::string prometheus;  ///< rank-labeled exposition text
-};
 
-ServeRankMetrics unpack_rank_metrics(const ServiceCtlMsg& msg);
+  /// Value of the integer series `name{rank="N"}` (a counter or gauge);
+  /// 0 when the rank does not expose it.
+  std::uint64_t metric(std::string_view name) const;
+};
 
 // ---------------------------------------------------------------------------
 // Worker side.
@@ -153,7 +103,9 @@ struct ServeWorkerOptions {
 
 /// Run one worker rank: dial the front, hello/welcome, then serve
 /// requests until a kDrain op (returns 0) or the front hangs up without
-/// draining (returns 1). Callable in-process (a thread) or after fork.
+/// draining (returns 1). Callable in-process (a thread) or after fork:
+/// the rank owns a fresh obs registry, bound on every thread it runs,
+/// so its metrics count its own work only.
 int run_serve_worker(const ServeWorkerOptions& opts);
 
 // ---------------------------------------------------------------------------
@@ -186,7 +138,8 @@ struct ServeRouterStats {
 /// The front rank's router: owns the worker links, a response-reader
 /// thread per worker, the sticky fingerprint->rank affinity table, and
 /// per-worker in-flight admission control. Thread-safe: any number of
-/// client threads may call() concurrently.
+/// client threads may call() concurrently. Its wire traffic counts in
+/// the obs registry current at construction.
 class ServeRouter {
  public:
   explicit ServeRouter(std::vector<PeerLink> workers,
@@ -246,9 +199,12 @@ class ServeRouter {
 
   void reader_loop(Worker& w);
   void on_worker_dead(Worker& w);
+  /// Write one frame to `w`; a failed write marks it dead.
+  void send_to(Worker& w, const Frame& frame);
   int pick_rank_locked(std::uint64_t routing_key);
 
   ServeRouterConfig cfg_;
+  obs::Registry& reg_;
   std::vector<std::unique_ptr<Worker>> workers_;  ///< index = rank - 1
 
   mutable std::mutex mutex_;

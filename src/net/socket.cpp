@@ -149,7 +149,8 @@ std::optional<Socket> Listener::accept(int timeout_ms) {
 }
 
 Socket connect_with_retry(const std::string& host, std::uint16_t port,
-                          const RetryPolicy& policy, WireCounters* counters) {
+                          const RetryPolicy& policy) {
+  obs::Registry& reg = obs::Registry::current();
   int backoff = policy.initial_backoff_ms;
   std::string last_error;
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
@@ -163,7 +164,7 @@ Socket connect_with_retry(const std::string& host, std::uint16_t port,
       if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                     sizeof addr) == 0) {
         set_nodelay(fd);
-        if (attempt > 0 && counters != nullptr) counters->add_reconnect();
+        if (attempt > 0) reg.counter_add("bstc_wire_reconnects_total");
         return Socket(fd);
       }
       last_error = errno_text("connect");
@@ -172,7 +173,7 @@ Socket connect_with_retry(const std::string& host, std::uint16_t port,
       last_error = e.what();
     }
     if (attempt + 1 < policy.max_attempts) {
-      if (counters != nullptr) counters->add_connect_retry();
+      reg.counter_add("bstc_wire_connect_retries_total");
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       backoff = std::min(backoff * 2, policy.max_backoff_ms);
     }
@@ -182,29 +183,24 @@ Socket connect_with_retry(const std::string& host, std::uint16_t port,
               " attempts (" + last_error + ")");
 }
 
-void send_frame(Socket& sock, const Frame& frame, WireCounters* counters) {
+void send_frame(Socket& sock, const Frame& frame) {
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  obs::Registry& reg = obs::Registry::instance();
-  if (!reg.enabled()) {
-    sock.send_all(bytes.data(), bytes.size());
-    if (counters != nullptr) counters->add_frame_sent(bytes.size());
-    return;
-  }
-  // Span and counter commit under one registry lock (record_with): a
-  // trace snapshot taken mid-run must see either both or neither, so
-  // summed tx-span bytes always equal the counter exactly.
-  const double start = reg.now();
+  obs::Registry& reg = obs::Registry::current();
+  const bool trace = reg.enabled();
+  const double start = trace ? reg.now() : 0.0;
   sock.send_all(bytes.data(), bytes.size());
-  reg.record_with(obs::Category::kCommTx,
-                  std::string("tx(") + frame_type_name(frame.type) + ")",
-                  obs::thread_lane(), start, reg.now(), bytes.size(), [&] {
-                    if (counters != nullptr) {
-                      counters->add_frame_sent(bytes.size());
-                    }
-                  });
+  // Span and counts commit under one registry lock: a trace snapshot
+  // taken mid-run sees both or neither, so summed tx-span bytes always
+  // equal the counter exactly.
+  reg.record_counted(
+      obs::Category::kCommTx,
+      trace ? std::string("tx(") + frame_type_name(frame.type) + ")" : "",
+      obs::thread_lane(), start, trace ? reg.now() : 0.0, bytes.size(),
+      {{"bstc_wire_frames_sent_total", 1},
+       {"bstc_wire_bytes_sent_total", bytes.size()}});
 }
 
-std::optional<Frame> recv_frame(Socket& sock, WireCounters* counters) {
+std::optional<Frame> recv_frame(Socket& sock) {
   std::uint8_t header[kWireHeaderBytes];
   if (!sock.recv_exact(header, sizeof header)) return std::nullopt;
   std::uint32_t magic = 0;
@@ -219,23 +215,19 @@ std::optional<Frame> recv_frame(Socket& sock, WireCounters* counters) {
   std::memcpy(buffer.data(), header, kWireHeaderBytes);
   // The rx span starts after the header: blocking idle time between
   // frames is not receive work.
-  obs::Registry& reg = obs::Registry::instance();
-  const double start = reg.enabled() ? reg.now() : 0.0;
+  obs::Registry& reg = obs::Registry::current();
+  const bool trace = reg.enabled();
+  const double start = trace ? reg.now() : 0.0;
   const bool ok = sock.recv_exact(buffer.data() + kWireHeaderBytes,
                                   len + kWireChecksumBytes);
   BSTC_REQUIRE(ok, "wire: peer closed mid-frame");
   Frame frame = decode_frame(buffer.data(), buffer.size());
-  if (!reg.enabled()) {
-    if (counters != nullptr) counters->add_frame_received(buffer.size());
-    return frame;
-  }
-  reg.record_with(obs::Category::kCommRx,
-                  std::string("rx(") + frame_type_name(frame.type) + ")",
-                  obs::thread_lane(), start, reg.now(), buffer.size(), [&] {
-                    if (counters != nullptr) {
-                      counters->add_frame_received(buffer.size());
-                    }
-                  });
+  reg.record_counted(
+      obs::Category::kCommRx,
+      trace ? std::string("rx(") + frame_type_name(frame.type) + ")" : "",
+      obs::thread_lane(), start, trace ? reg.now() : 0.0, buffer.size(),
+      {{"bstc_wire_frames_received_total", 1},
+       {"bstc_wire_bytes_received_total", buffer.size()}});
   return frame;
 }
 

@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 
-#include "net/counters.hpp"
 #include "net/wire.hpp"
 
 namespace bstc::net {
@@ -85,19 +84,21 @@ class Listener {
 };
 
 /// Connect to `host:port`, retrying with exponential backoff. Failed
-/// attempts count as connect_retries; a connection that needed at least
-/// one retry counts as a reconnect. Throws after the last attempt fails.
+/// attempts count in `bstc_wire_connect_retries_total`; a connection
+/// that needed at least one retry counts in `bstc_wire_reconnects_total`
+/// (both in obs::Registry::current()). Throws after the last attempt
+/// fails.
 Socket connect_with_retry(const std::string& host, std::uint16_t port,
-                          const RetryPolicy& policy = {},
-                          WireCounters* counters = nullptr);
+                          const RetryPolicy& policy = {});
 
-/// Send one frame (encode + write); counts it into `counters`.
-void send_frame(Socket& sock, const Frame& frame,
-                WireCounters* counters = nullptr);
+/// Send one frame (encode + write). Counts it, with its on-wire bytes
+/// (framing included), in obs::Registry::current()'s
+/// `bstc_wire_frames_sent_total` / `bstc_wire_bytes_sent_total`.
+void send_frame(Socket& sock, const Frame& frame);
 
 /// Receive one frame. Returns nullopt on clean EOF between frames; throws
-/// bstc::Error on a corrupt header/checksum or mid-frame EOF.
-std::optional<Frame> recv_frame(Socket& sock,
-                                WireCounters* counters = nullptr);
+/// bstc::Error on a corrupt header/checksum or mid-frame EOF. Counts it
+/// in `bstc_wire_frames_received_total` / `bstc_wire_bytes_received_total`.
+std::optional<Frame> recv_frame(Socket& sock);
 
 }  // namespace bstc::net

@@ -158,7 +158,7 @@ Frame encode_tile(FrameType type, std::uint64_t key, const Tile& tile) {
   // Counts every tile serialization in the process — the witness the
   // serialize-once regression asserts on (a q-peer broadcast must bump
   // this exactly once, not q-1 times).
-  obs::Registry::instance().counter_add("bstc_tile_encodes_total");
+  obs::Registry::current().counter_add("bstc_tile_encodes_total");
   WireWriter w;
   w.u64(key);
   w.u32(static_cast<std::uint32_t>(tile.rows()));
@@ -187,7 +187,7 @@ Frame encode_bcast(const BcastTileMsg& msg) {
   // One serialization per broadcast, whatever the fanout (the relays
   // forward the payload verbatim) — counted like encode_tile so the
   // serialize-once regression covers both paths.
-  obs::Registry::instance().counter_add("bstc_tile_encodes_total");
+  obs::Registry::current().counter_add("bstc_tile_encodes_total");
   WireWriter w;
   w.u64(msg.key);
   w.u8(static_cast<std::uint8_t>(msg.algo));

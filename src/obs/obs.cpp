@@ -31,10 +31,33 @@ std::uint32_t thread_lane() {
 
 Registry::Registry() : epoch_(std::chrono::steady_clock::now()) {}
 
+namespace {
+
+thread_local Registry* bound_registry = nullptr;
+
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.emplace(std::string(name), 0).first;
+  return it->second;
+}
+
+}  // namespace
+
 Registry& Registry::instance() {
   static Registry reg;
   return reg;
 }
+
+Registry& Registry::current() {
+  return bound_registry != nullptr ? *bound_registry : instance();
+}
+
+ScopedRegistry::ScopedRegistry(Registry& reg) : prev_(bound_registry) {
+  bound_registry = &reg;
+}
+
+ScopedRegistry::~ScopedRegistry() { bound_registry = prev_; }
 
 double Registry::now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -49,14 +72,17 @@ void Registry::record(Category cat, std::string name, std::uint32_t lane,
   spans_.push_back(Span{std::move(name), cat, lane, start_s, end_s, bytes});
 }
 
-void Registry::record_with(Category cat, std::string name, std::uint32_t lane,
-                           double start_s, double end_s, std::uint64_t bytes,
-                           const std::function<void()>& and_then) {
+void Registry::record_counted(
+    Category cat, std::string name, std::uint32_t lane, double start_s,
+    double end_s, std::uint64_t bytes,
+    std::initializer_list<std::pair<std::string_view, std::uint64_t>> counts) {
   std::lock_guard lock(mutex_);
   if (enabled()) {
     spans_.push_back(Span{std::move(name), cat, lane, start_s, end_s, bytes});
   }
-  if (and_then) and_then();
+  for (const auto& [counter, delta] : counts) {
+    entry(counters_, counter) += delta;
+  }
 }
 
 void Registry::name_lane(std::uint32_t lane, std::string name) {
@@ -64,14 +90,14 @@ void Registry::name_lane(std::uint32_t lane, std::string name) {
   lane_names_[lane] = std::move(name);
 }
 
-void Registry::counter_add(const std::string& name, std::uint64_t delta) {
+void Registry::counter_add(std::string_view name, std::uint64_t delta) {
   std::lock_guard lock(mutex_);
-  counters_[name] += delta;
+  entry(counters_, name) += delta;
 }
 
-void Registry::gauge_set(const std::string& name, std::int64_t value) {
+void Registry::gauge_set(std::string_view name, std::int64_t value) {
   std::lock_guard lock(mutex_);
-  gauges_[name] = value;
+  entry(gauges_, name) = value;
 }
 
 void Registry::observe(const std::string& name, double value, double lo,
@@ -82,19 +108,22 @@ void Registry::observe(const std::string& name, double value, double lo,
     it = histograms_.emplace(name, HistogramData{Histogram(lo, hi, bins), 0.0})
              .first;
   }
-  it->second.hist.add(value);
-  it->second.sum += value;
+  HistogramData& data = it->second;
+  if (value > data.hist.hi()) {
+    ++data.above;
+  } else {
+    data.hist.add(value);
+  }
+  data.sum += value;
+}
+
+Registry::Snapshot Registry::snapshot() const {
+  std::lock_guard lock(mutex_);
+  return Snapshot{spans_, lane_names_, {counters_.begin(), counters_.end()}};
 }
 
 std::vector<Span> Registry::spans() const {
   std::lock_guard lock(mutex_);
-  return spans_;
-}
-
-std::vector<Span> Registry::spans_with(
-    const std::function<void()>& under_lock) const {
-  std::lock_guard lock(mutex_);
-  if (under_lock) under_lock();
   return spans_;
 }
 
@@ -105,12 +134,18 @@ std::map<std::uint32_t, std::string> Registry::lane_names() const {
 
 std::map<std::string, std::uint64_t> Registry::counters() const {
   std::lock_guard lock(mutex_);
-  return counters_;
+  return {counters_.begin(), counters_.end()};
+}
+
+std::uint64_t Registry::counter(std::string_view name) const {
+  std::lock_guard lock(mutex_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second;
 }
 
 std::map<std::string, std::int64_t> Registry::gauges() const {
   std::lock_guard lock(mutex_);
-  return gauges_;
+  return {gauges_.begin(), gauges_.end()};
 }
 
 std::map<std::string, HistogramData> Registry::histograms() const {
@@ -118,33 +153,23 @@ std::map<std::string, HistogramData> Registry::histograms() const {
   return histograms_;
 }
 
-void Registry::clear() {
-  std::lock_guard lock(mutex_);
-  spans_.clear();
-  lane_names_.clear();
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 ScopedSpan::ScopedSpan(Category cat, std::string name, std::uint64_t bytes)
     : ScopedSpan(cat, std::move(name), thread_lane(), bytes) {}
 
 ScopedSpan::ScopedSpan(Category cat, std::string name, std::uint32_t lane,
                        std::uint64_t bytes)
-    : active_(Registry::instance().enabled()) {
+    : reg_(&Registry::current()), active_(reg_->enabled()) {
   if (!active_) return;
   cat_ = cat;
   name_ = std::move(name);
   lane_ = lane;
   bytes_ = bytes;
-  start_s_ = Registry::instance().now();
+  start_s_ = reg_->now();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
-  Registry& reg = Registry::instance();
-  reg.record(cat_, std::move(name_), lane_, start_s_, reg.now(), bytes_);
+  reg_->record(cat_, std::move(name_), lane_, start_s_, reg_->now(), bytes_);
 }
 
 namespace {
@@ -157,13 +182,22 @@ std::string fmt_value(double v) {
 
 }  // namespace
 
-std::string prometheus_text(const Registry& reg) {
+std::string prometheus_text(const Registry& reg, int rank) {
+  const std::string rank_label =
+      rank >= 0 ? "rank=\"" + std::to_string(rank) + "\"" : "";
+  // `name{rank="N",extra}`, leaving out whichever label is absent.
+  const auto series = [&rank_label](const std::string& name,
+                                    const std::string& extra = "") {
+    if (rank_label.empty() && extra.empty()) return name;
+    const char* sep = rank_label.empty() || extra.empty() ? "" : ",";
+    return name + "{" + rank_label + sep + extra + "}";
+  };
   std::string out;
   for (const auto& [name, value] : reg.counters()) {
-    out += name + " " + std::to_string(value) + "\n";
+    out += series(name) + " " + std::to_string(value) + "\n";
   }
   for (const auto& [name, value] : reg.gauges()) {
-    out += name + " " + std::to_string(value) + "\n";
+    out += series(name) + " " + std::to_string(value) + "\n";
   }
   for (const auto& [name, data] : reg.histograms()) {
     const Histogram& h = data.hist;
@@ -173,12 +207,13 @@ std::string prometheus_text(const Registry& reg) {
       const double edge = b + 1 == h.bin_count()
                               ? h.hi()
                               : h.bin_lo(b) + h.bin_width();
-      out += name + "_bucket{le=\"" + fmt_value(edge) + "\"} " +
-             std::to_string(cumulative) + "\n";
+      out += series(name + "_bucket", "le=\"" + fmt_value(edge) + "\"") +
+             " " + std::to_string(cumulative) + "\n";
     }
-    out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.total()) + "\n";
-    out += name + "_sum " + fmt_value(data.sum) + "\n";
-    out += name + "_count " + std::to_string(h.total()) + "\n";
+    const std::string count = std::to_string(h.total() + data.above);
+    out += series(name + "_bucket", "le=\"+Inf\"") + " " + count + "\n";
+    out += series(name + "_sum") + " " + fmt_value(data.sum) + "\n";
+    out += series(name + "_count") + " " + count + "\n";
   }
   // Span volume per category, so scrapes see tracing activity without
   // parsing the trace itself.
@@ -188,8 +223,8 @@ std::string prometheus_text(const Registry& reg) {
       per_cat[category_name(s.category)] += 1;
     }
     for (const auto& [cat, n] : per_cat) {
-      out += "bstc_obs_spans_total{category=\"" + cat + "\"} " +
-             std::to_string(n) + "\n";
+      out += series("bstc_obs_spans_total", "category=\"" + cat + "\"") +
+             " " + std::to_string(n) + "\n";
     }
   }
   return out;

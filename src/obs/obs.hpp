@@ -1,10 +1,20 @@
 #pragma once
 
 /// \file obs.hpp
-/// Process-wide observability registry: spans, counters, gauges and
-/// latency histograms for every layer — scheduler task bodies, the
-/// serving layer (ServiceMetrics) and wire bytes (WireCounters) — with
-/// one span type and one trace writer (trace_merge.hpp).
+/// Observability registry: spans, counters, gauges and latency
+/// histograms for every layer — scheduler task bodies, the serving
+/// layer, B generation, the shm data plane and every frame on the wire —
+/// with one span type and one trace writer (trace_merge.hpp).
+///
+/// One registry per rank. Library code records into Registry::current():
+/// the registry bound to the calling thread by a ScopedRegistry, or the
+/// process-wide instance() when none is bound. A rank entry point
+/// (net::run_worker, net::run_serve_worker) owns a fresh registry and
+/// binds it, and every component that spawns threads re-binds its
+/// spawner's registry in each of them, so a rank counts exactly its own
+/// work whether it was forked or started on a thread — nothing is reset
+/// or subtracted. Code that binds nothing (the CLI's single-process
+/// commands, the ledger) records into instance().
 ///
 /// Spans are timeline intervals with a category (`task`, `comm.tx`,
 /// `comm.rx`, `barrier`, `plan`, `service.request`, `phase`) and a lane
@@ -12,10 +22,13 @@
 /// explicit enable flag — the default-off path is one relaxed atomic
 /// load, so instrumented hot paths cost nothing unless a trace was
 /// requested (`--trace-out`). Counters, gauges and histograms are always
-/// on; they feed the Prometheus-style text exposition.
+/// on; they feed the Prometheus-style text exposition. A comm span and
+/// its wire counters commit under the registry lock together
+/// (record_counted), so summed comm-span bytes equal the wire totals in
+/// every snapshot().
 ///
 /// The registry epoch is its construction time on the steady clock;
-/// span timestamps are seconds since that epoch. Separate processes
+/// span timestamps are seconds since that epoch. Separate ranks
 /// therefore have skewed epochs even on one host — the distributed
 /// trace gather (net/launch) measures the offset with an NTP-style
 /// probe exchange and trace_merge shifts every rank onto rank 0's
@@ -24,10 +37,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/histogram.hpp"
@@ -65,11 +80,14 @@ struct Span {
   std::uint64_t bytes = 0;  ///< payload size for comm spans, else 0
 };
 
-/// A histogram plus the sample sum the Prometheus exposition needs
-/// (support/histogram tracks counts only).
+/// A histogram plus what the Prometheus exposition needs beyond its
+/// bins: the sample sum, and the samples above `hist.hi()`. Those are
+/// kept out of every finite bucket (Histogram::add would clamp them into
+/// the last one) and count only in `+Inf` and `_count`.
 struct HistogramData {
   Histogram hist;
   double sum = 0.0;
+  std::uint64_t above = 0;
 };
 
 /// Lanes below this are reserved for scheduler queue ids; lanes handed
@@ -79,12 +97,16 @@ inline constexpr std::uint32_t kThreadLaneBase = 1024;
 /// Stable per-thread lane id (allocated on first use, >= kThreadLaneBase).
 std::uint32_t thread_lane();
 
-/// The process-wide span/counter registry. All methods are thread-safe.
+/// One rank's span/counter registry. All methods are thread-safe.
 class Registry {
  public:
   Registry();
 
+  /// The process-wide registry: current() on a thread with none bound.
   static Registry& instance();
+  /// The registry bound to the calling thread (ScopedRegistry), else
+  /// instance(). Every library call site records here.
+  static Registry& current();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
@@ -96,37 +118,44 @@ class Registry {
   void record(Category cat, std::string name, std::uint32_t lane,
               double start_s, double end_s, std::uint64_t bytes = 0);
 
-  /// Record one span and run `and_then` under the registry lock — the
-  /// same lock spans_with() holds. Comm instrumentation pairs the span
-  /// with its WireCounters bump here so a concurrent snapshot can never
-  /// observe one without the other (span byte sums must equal counter
-  /// totals exactly, not approximately). `and_then` runs even when span
-  /// recording is disabled.
-  void record_with(Category cat, std::string name, std::uint32_t lane,
-                   double start_s, double end_s, std::uint64_t bytes,
-                   const std::function<void()>& and_then);
+  /// Add each (counter, delta) and, when enabled, record one span — under
+  /// one lock, so a snapshot() never sees the span without its counts.
+  /// Comm instrumentation pairs each frame's span with its wire counters
+  /// here (span byte sums must equal counter totals exactly). The counts
+  /// are added whether or not spans are enabled.
+  void record_counted(
+      Category cat, std::string name, std::uint32_t lane, double start_s,
+      double end_s, std::uint64_t bytes,
+      std::initializer_list<std::pair<std::string_view, std::uint64_t>> counts);
 
   /// Label a lane for the trace ("net.tx", "queue 3", ...).
   void name_lane(std::uint32_t lane, std::string name);
 
-  void counter_add(const std::string& name, std::uint64_t delta = 1);
-  void gauge_set(const std::string& name, std::int64_t value);
+  /// Add to a counter. A delta of 0 declares it: the component that owns
+  /// a counter declares it when constructed, so the exposition shows it
+  /// at 0 before its first event.
+  void counter_add(std::string_view name, std::uint64_t delta = 1);
+  void gauge_set(std::string_view name, std::int64_t value);
   /// Add a sample to a named histogram, creating it with the given
   /// layout on first use (later calls ignore lo/hi/bins).
   void observe(const std::string& name, double value, double lo, double hi,
                std::size_t bins);
 
+  /// Spans, lane names and counters read under one lock.
+  struct Snapshot {
+    std::vector<Span> spans;
+    std::map<std::uint32_t, std::string> lane_names;
+    std::map<std::string, std::uint64_t> counters;
+  };
+  Snapshot snapshot() const;
+
   std::vector<Span> spans() const;
-  /// Snapshot spans and run `under_lock` atomically with the snapshot
-  /// (counterpart of record_with; see there).
-  std::vector<Span> spans_with(const std::function<void()>& under_lock) const;
   std::map<std::uint32_t, std::string> lane_names() const;
   std::map<std::string, std::uint64_t> counters() const;
+  /// One counter's value (0 if it was never added to or declared).
+  std::uint64_t counter(std::string_view name) const;
   std::map<std::string, std::int64_t> gauges() const;
   std::map<std::string, HistogramData> histograms() const;
-
-  /// Drop all recorded data (tests; between serve-batch runs).
-  void clear();
 
  private:
   std::atomic<bool> enabled_{false};
@@ -134,13 +163,32 @@ class Registry {
   mutable std::mutex mutex_;
   std::vector<Span> spans_;
   std::map<std::uint32_t, std::string> lane_names_;
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, std::int64_t> gauges_;
+  // Transparent comparators: hot call sites look names up without
+  // building a std::string per event.
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, std::int64_t, std::less<>> gauges_;
   std::map<std::string, HistogramData> histograms_;
 };
 
-/// RAII span against the global registry; the current thread's lane
-/// unless one is given. Does nothing when recording is disabled.
+/// Binds `reg` as the calling thread's Registry::current() for its
+/// lifetime and restores the previous binding after. A rank entry point
+/// binds the registry it owns; a component that starts threads binds its
+/// spawner's registry first thing in each thread body.
+class ScopedRegistry {
+ public:
+  explicit ScopedRegistry(Registry& reg);
+  ~ScopedRegistry();
+
+  ScopedRegistry(const ScopedRegistry&) = delete;
+  ScopedRegistry& operator=(const ScopedRegistry&) = delete;
+
+ private:
+  Registry* prev_;
+};
+
+/// RAII span against Registry::current() at construction; the current
+/// thread's lane unless one is given. Does nothing when recording is
+/// disabled.
 class ScopedSpan {
  public:
   ScopedSpan(Category cat, std::string name, std::uint64_t bytes = 0);
@@ -154,6 +202,7 @@ class ScopedSpan {
   void set_bytes(std::uint64_t bytes) { bytes_ = bytes; }
 
  private:
+  Registry* reg_;
   bool active_;
   Category cat_ = Category::kTask;
   std::string name_;
@@ -164,9 +213,9 @@ class ScopedSpan {
 
 /// Prometheus-style text exposition of the registry's counters, gauges
 /// and histograms (`name{labels} value` lines; histograms as cumulative
-/// `_bucket{le="..."}` plus `_sum` / `_count`). Values outside a
-/// histogram's range are clamped into its edge bins, so the last
-/// finite bucket may undercount relative to +Inf semantics.
-std::string prometheus_text(const Registry& reg);
+/// `_bucket{le="..."}` plus `_sum` / `_count`). Counters and gauges are
+/// integers and render exactly. With `rank >= 0` every line carries a
+/// `rank="N"` label — one rank's section of a gathered exposition.
+std::string prometheus_text(const Registry& reg, int rank = -1);
 
 }  // namespace bstc::obs

@@ -35,6 +35,23 @@ void append_escaped(std::string& out, const std::string& s) {
 
 }  // namespace
 
+RankTrace rank_trace(const Registry& reg, std::uint32_t rank) {
+  Registry::Snapshot snap = reg.snapshot();
+  const auto counter = [&snap](const char* name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  RankTrace t;
+  t.rank = rank;
+  t.spans = std::move(snap.spans);
+  t.lane_names = std::move(snap.lane_names);
+  t.wire_frames_sent = counter("bstc_wire_frames_sent_total");
+  t.wire_frames_received = counter("bstc_wire_frames_received_total");
+  t.wire_bytes_sent = counter("bstc_wire_bytes_sent_total");
+  t.wire_bytes_received = counter("bstc_wire_bytes_received_total");
+  return t;
+}
+
 std::string merge_traces_json(const std::vector<RankTrace>& ranks) {
   // Corrected timestamps, then normalize so the earliest span is ts 0.
   struct Event {

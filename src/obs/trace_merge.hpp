@@ -9,11 +9,11 @@
 /// normalized so the earliest event lands at ts = 0 (rank epochs are
 /// process start times, so a raw shift could go negative).
 ///
-/// Every rank also carries its WireCounterSnapshot, emitted as a
-/// `wire_counters` metadata event; tools/trace_check cross-checks the
-/// summed comm-span bytes against it — the exact-accounting discipline
-/// the launcher already applies to A/C payloads, extended to every
-/// frame on the wire.
+/// Every rank also carries its wire totals (the registry's
+/// `bstc_wire_*_total` counters), emitted as a `wire_counters` metadata
+/// event; tools/trace_check cross-checks the summed comm-span bytes
+/// against them — the exact-accounting discipline the launcher already
+/// applies to A/C payloads, extended to every frame on the wire.
 
 #include <cstdint>
 #include <map>
@@ -38,6 +38,10 @@ struct RankTrace {
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
 };
+
+/// One rank's trace from its registry: spans, lane names and wire totals
+/// read under one lock, so the span byte sums equal the totals exactly.
+RankTrace rank_trace(const Registry& reg, std::uint32_t rank);
 
 /// Serialize the merged trace ({"traceEvents": [...]}; one event per
 /// line). Events are sorted by corrected timestamp.

@@ -41,7 +41,7 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues) {
   }
 
   Timer timer;
-  obs::Registry& reg = obs::Registry::instance();
+  obs::Registry& reg = obs::Registry::current();
   const bool trace = reg.enabled();
   if (trace) {
     for (std::uint32_t q = 0; q < num_queues; ++q) {
@@ -61,6 +61,7 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues) {
   }
 
   auto worker = [&graph, &state, &deps, &reg, trace](std::uint32_t queue) {
+    obs::ScopedRegistry bind(reg);  // task bodies count into our registry
     std::unique_lock lock(state.mutex);
     while (true) {
       state.cv.wait(lock, [&] {

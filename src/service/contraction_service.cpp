@@ -88,13 +88,18 @@ ServiceStatus validate_problem(const Shape& a, const Shape* b,
 ContractionService::ContractionService(ServiceConfig cfg)
     : cfg_(cfg),
       cache_(cfg.plan_cache_capacity),
-      wire_base_(net::global_wire_counters().snapshot()),
-      counter_base_(obs::Registry::instance().counters()) {
+      reg_(obs::Registry::current()) {
   BSTC_REQUIRE(cfg_.workers >= 1, "service needs at least one worker");
   BSTC_REQUIRE(cfg_.queue_capacity >= 1, "queue capacity must be >= 1");
+  // The service owns its requests' B backend; a rank whose B all came
+  // from a shared store reports 0 generated tiles, not nothing.
+  reg_.counter_add("bstc_b_tiles_generated_total", 0);
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int w = 0; w < cfg_.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] {
+      obs::ScopedRegistry bind(reg_);
+      worker_loop();
+    });
   }
 }
 
@@ -183,9 +188,8 @@ void ContractionService::worker_loop() {
 void ContractionService::process(Job& job) {
   ContractionResponse& resp = *job.response;
   resp.queue_wait_s = job.since_submit.elapsed_s();
-  obs::Registry& reg = obs::Registry::instance();
-  reg.observe("bstc_service_queue_wait_seconds", resp.queue_wait_s, 0.0, 1.0,
-              20);
+  reg_.observe("bstc_service_queue_wait_seconds", resp.queue_wait_s, 0.0,
+               1.0, 20);
   obs::ScopedSpan span(obs::Category::kServiceRequest,
                        job.request != nullptr ? "submit" : "iterate");
   try {
@@ -253,7 +257,8 @@ void ContractionService::process(Job& job) {
       resp.c = std::move(result.c);
       ++session.iterations;
     }
-    reg.observe("bstc_service_execute_seconds", resp.execute_s, 0.0, 5.0, 20);
+    reg_.observe("bstc_service_execute_seconds", resp.execute_s, 0.0, 5.0,
+                 20);
     job.status = ServiceStatus::kOk;
   } catch (const std::exception& e) {
     job.status = ServiceStatus::kExecutionError;
@@ -441,45 +446,6 @@ ServiceMetrics ContractionService::metrics() const {
     out = metrics_;
   }
   out.plan_cache = cache_.stats();
-  out.wire = net::global_wire_counters().snapshot().since(wire_base_);
-  // Shared-memory data plane counters live in the process-wide obs
-  // registry (the generator and the shm layer both bump it); mirroring
-  // what accrued since this service started lets the distributed gather
-  // ship them per rank.
-  {
-    const obs::Registry& reg = obs::Registry::instance();
-    const auto counters = reg.counters();
-    const auto counter = [&](const char* name) -> std::size_t {
-      const auto it = counters.find(name);
-      const auto base = counter_base_.find(name);
-      const std::uint64_t now = it == counters.end() ? 0 : it->second;
-      const std::uint64_t then =
-          base == counter_base_.end() ? 0 : base->second;
-      // A registry cleared since then restarted from zero.
-      return static_cast<std::size_t>(now < then ? now : now - then);
-    };
-    out.b_tiles_generated = counter("bstc_b_tiles_generated_total");
-    out.shm_store_builds = counter("bstc_shm_store_builds_total");
-    out.shm_attaches = counter("bstc_shm_attaches_total");
-    out.shm_swaps = counter("bstc_shm_swaps_total");
-    out.expr_programs = counter("bstc_expr_programs_total");
-    out.expr_nodes = counter("bstc_expr_nodes_total");
-    out.expr_intermediates_built =
-        counter("bstc_expr_intermediates_built_total");
-    out.expr_intermediate_reuse =
-        counter("bstc_expr_intermediate_reuse_total");
-    out.expr_intermediates_released =
-        counter("bstc_expr_intermediates_released_total");
-    const auto gauges = reg.gauges();
-    const auto gauge = [&gauges](const char* name) -> std::size_t {
-      const auto it = gauges.find(name);
-      return it == gauges.end() || it->second < 0
-                 ? 0
-                 : static_cast<std::size_t>(it->second);
-    };
-    out.shm_resident_bytes = gauge("bstc_shm_resident_bytes");
-    out.shm_generation = gauge("bstc_shm_generation");
-  }
   return out;
 }
 

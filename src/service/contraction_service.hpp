@@ -27,12 +27,14 @@
 /// Thread model: submit()/iterate() may be called from any number of
 /// threads; callers block until their own request finishes (or is
 /// rejected). Workers execute requests; the engine itself spins up its
-/// queue threads per execution.
+/// queue threads per execution. Everything the workers count (B
+/// generation, engine staging, latency histograms) goes to registry():
+/// the obs registry current when the service was constructed (it must
+/// outlive the service), which each worker binds.
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,6 +46,7 @@
 #include "bsm/on_demand_matrix.hpp"
 #include "core/engine.hpp"
 #include "machine/machine.hpp"
+#include "obs/obs.hpp"
 #include "service/metrics.hpp"
 #include "service/plan_cache.hpp"
 
@@ -175,6 +178,9 @@ class ContractionService {
   /// Snapshot of service counters (thread-safe, any time).
   ServiceMetrics metrics() const;
 
+  /// The registry this service's workers record into.
+  obs::Registry& registry() const { return reg_; }
+
   /// Stop accepting work, fail queued-but-unstarted requests with
   /// kShuttingDown, finish in-flight executions and join the workers.
   /// Idempotent; also run by the destructor.
@@ -192,6 +198,7 @@ class ContractionService {
 
   ServiceConfig cfg_;
   PlanCache cache_;
+  obs::Registry& reg_;
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  ///< workers wait for jobs
@@ -199,11 +206,6 @@ class ContractionService {
   std::deque<Job*> queue_;
   bool stopping_ = false;
   ServiceMetrics metrics_;
-  /// Process-wide wire and registry counters as they stood when this
-  /// service started; metrics() reports what accrued since, so a forked
-  /// rank does not report its parent's traffic or B generation.
-  net::WireCounterSnapshot wire_base_;
-  std::map<std::string, std::uint64_t> counter_base_;
 
   std::mutex sessions_mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;

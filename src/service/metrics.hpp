@@ -7,13 +7,16 @@
 #include <cstddef>
 #include <string>
 
-#include "net/counters.hpp"
+#include "obs/obs.hpp"
 #include "service/plan_cache.hpp"
 #include "support/table.hpp"
 
 namespace bstc {
 
-/// Snapshot of everything the service has done so far.
+/// Snapshot of what the service itself has done so far. Counts the
+/// service does not own (wire traffic, B generation, the shm data plane,
+/// contraction programs) live in its obs registry
+/// (ContractionService::registry()).
 struct ServiceMetrics {
   // Admission.
   std::size_t submitted = 0;  ///< accepted into the queue
@@ -29,31 +32,6 @@ struct ServiceMetrics {
   std::size_t sessions_closed = 0;
   std::size_t iterations = 0;  ///< session iterate() executions
   std::size_t explains = 0;    ///< plan-explain requests served
-
-  // Wire-level traffic of this process (frames, bytes, connect retries,
-  // reconnects) — the network layer's view, taken from the global
-  // WireCounters at snapshot time. All zero when no net transport ran.
-  net::WireCounterSnapshot wire;
-
-  // Shared-memory data plane, taken from the obs registry at snapshot
-  // time (process-wide, so the distributed-serve gather can prove
-  // one-materialization-per-node across ranks). All zero when neither a
-  // store nor a generator cache ran in this process.
-  std::size_t b_tiles_generated = 0;  ///< local B materializations
-  std::size_t shm_store_builds = 0;   ///< stores this process built
-  std::size_t shm_attaches = 0;       ///< read-only segment attaches
-  std::size_t shm_swaps = 0;          ///< generation hot-swaps taken
-  std::size_t shm_resident_bytes = 0; ///< shm bytes currently mapped
-  std::size_t shm_generation = 0;     ///< store generation being served
-
-  // Contraction-program (expr) layer, mirrored from the obs registry at
-  // snapshot time — what the distributed gather uses to witness one
-  // intermediate build per iteration and the reuse edges actually taken.
-  std::size_t expr_programs = 0;              ///< program iterations run
-  std::size_t expr_nodes = 0;                 ///< DAG nodes executed
-  std::size_t expr_intermediates_built = 0;   ///< shared intermediates built
-  std::size_t expr_intermediate_reuse = 0;    ///< consumer hits beyond builds
-  std::size_t expr_intermediates_released = 0;///< refcount releases
 
   // Timing aggregates over completed work (seconds).
   double total_queue_wait_s = 0.0;
@@ -74,14 +52,14 @@ struct ServiceMetrics {
 /// Two-column (metric, value) table of a snapshot.
 TextTable metrics_table(const ServiceMetrics& m);
 
-/// Prometheus-style text exposition of a snapshot (`name{labels} value`
-/// lines), followed by the obs registry's counters, gauges and latency
-/// histograms. Suitable for a file scrape or a /metrics endpoint.
+/// Prometheus-style text exposition of one rank: the registry's counters,
+/// gauges and latency histograms (obs::prometheus_text), followed by the
+/// service's own lines (`name{labels} value`). Counts render exactly.
+/// Suitable for a file scrape or a /metrics endpoint.
 ///
-/// When `rank >= 0` every bstc_* line gets a `{rank="N"}` label — the
-/// per-rank sections of a distributed-serve metrics artifact — and the
-/// process-local obs registry text is omitted (it has no rank labels and
-/// would collide across sections).
-std::string metrics_prometheus(const ServiceMetrics& m, int rank = -1);
+/// When `rank >= 0` every line gets a `rank="N"` label — one rank's
+/// section of a distributed-serve metrics artifact.
+std::string metrics_prometheus(const ServiceMetrics& m,
+                               const obs::Registry& reg, int rank = -1);
 
 }  // namespace bstc

@@ -23,14 +23,14 @@ std::atomic<std::size_t> g_resident_bytes{0};
 
 void resident_add(std::size_t bytes) {
   const std::size_t now = g_resident_bytes.fetch_add(bytes) + bytes;
-  obs::Registry::instance().gauge_set("bstc_shm_resident_bytes",
-                                      static_cast<std::int64_t>(now));
+  obs::Registry::current().gauge_set("bstc_shm_resident_bytes",
+                                     static_cast<std::int64_t>(now));
 }
 
 void resident_sub(std::size_t bytes) {
   const std::size_t now = g_resident_bytes.fetch_sub(bytes) - bytes;
-  obs::Registry::instance().gauge_set("bstc_shm_resident_bytes",
-                                      static_cast<std::int64_t>(now));
+  obs::Registry::current().gauge_set("bstc_shm_resident_bytes",
+                                     static_cast<std::int64_t>(now));
 }
 
 std::uint64_t checksum_bytes(const void* data, std::size_t size) {
@@ -216,7 +216,7 @@ Status ShmArena::attach(const std::string& name, ShmArena& out,
   out.writable_ = false;
   out.fd_ = fd;
   resident_add(size);
-  obs::Registry::instance().counter_add("bstc_shm_attaches_total");
+  obs::Registry::current().counter_add("bstc_shm_attaches_total");
   return Status::Ok();
 }
 

@@ -98,9 +98,9 @@ Status ShmTileStore::build(const std::string& name, const Shape& shape,
     return st;
   }
 
-  obs::Registry::instance().counter_add("bstc_shm_store_builds_total");
-  obs::Registry::instance().counter_add("bstc_shm_store_tiles_built_total",
-                                        num_tiles);
+  obs::Registry::current().counter_add("bstc_shm_store_builds_total");
+  obs::Registry::current().counter_add("bstc_shm_store_tiles_built_total",
+                                       num_tiles);
   if (info != nullptr) {
     info->name = name;
     info->fingerprint = fingerprint;

@@ -150,7 +150,7 @@ Status StoreWatchdog::publish(const StoreHandle& next) {
   ctl->seq.store(seq + 2, std::memory_order_release);  // even: committed
   previous_store_ = current_store_;
   current_store_ = next.store_name;
-  obs::Registry::instance().counter_add("bstc_shm_publishes_total");
+  obs::Registry::current().counter_add("bstc_shm_publishes_total");
   return Status::Ok();
 }
 
@@ -257,9 +257,9 @@ Status StoreRegistry::refresh() {
   // SharedStoreSource shared_ptrs; the old mapping (and, once unlinked,
   // the segment itself) disappears when the last of them finishes.
   if (swapped) {
-    obs::Registry::instance().counter_add("bstc_shm_swaps_total");
+    obs::Registry::current().counter_add("bstc_shm_swaps_total");
   }
-  obs::Registry::instance().gauge_set(
+  obs::Registry::current().gauge_set(
       "bstc_shm_generation", static_cast<std::int64_t>(published.generation));
   return Status::Ok();
 }

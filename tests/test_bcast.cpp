@@ -192,10 +192,18 @@ TEST(Bcast, ParseAndResolvePolicies) {
             BcastAlgorithm::kTree);
 }
 
+/// A transport of a 3-rank mesh counting into `reg`, as a worker rank's
+/// does.
+std::unique_ptr<net::NetTransport> rank_transport(
+    obs::Registry& reg, int rank, std::vector<net::PeerLink> links) {
+  obs::ScopedRegistry bind(reg);
+  return std::make_unique<net::NetTransport>(3, rank, std::move(links));
+}
+
 /// Three fully meshed ranks over socket pairs (same shape as the
 /// NetTransport tests) — the smallest topology with a relaying receiver.
 struct LoopbackTrio {
-  net::WireCounters counters[3];
+  obs::Registry reg[3];  ///< one per rank, as each worker rank owns one
   std::unique_ptr<net::NetTransport> t[3];
 
   LoopbackTrio() {
@@ -208,18 +216,15 @@ struct LoopbackTrio {
     std::vector<net::PeerLink> l0;
     l0.push_back(net::PeerLink{1, net::Socket(p01[0])});
     l0.push_back(net::PeerLink{2, net::Socket(p02[0])});
-    t[0] = std::make_unique<net::NetTransport>(3, 0, std::move(l0),
-                                               &counters[0]);
+    t[0] = rank_transport(reg[0], 0, std::move(l0));
     std::vector<net::PeerLink> l1;
     l1.push_back(net::PeerLink{0, net::Socket(p01[1])});
     l1.push_back(net::PeerLink{2, net::Socket(p12[0])});
-    t[1] = std::make_unique<net::NetTransport>(3, 1, std::move(l1),
-                                               &counters[1]);
+    t[1] = rank_transport(reg[1], 1, std::move(l1));
     std::vector<net::PeerLink> l2;
     l2.push_back(net::PeerLink{0, net::Socket(p02[1])});
     l2.push_back(net::PeerLink{1, net::Socket(p12[1])});
-    t[2] = std::make_unique<net::NetTransport>(3, 2, std::move(l2),
-                                               &counters[2]);
+    t[2] = rank_transport(reg[2], 2, std::move(l2));
   }
 };
 
@@ -257,9 +262,9 @@ TEST(Bcast, TreeBroadcastSerializesTheTileExactlyOnce) {
   // moment to record).
   const auto summed = [&] {
     std::uint64_t bytes = 0;
-    for (const auto& c : trio.counters) {
-      const auto s = c.snapshot();
-      bytes += s.a_payload_inter_bytes + s.a_payload_intra_bytes;
+    for (const obs::Registry& reg : trio.reg) {
+      bytes += reg.counter("bstc_bcast_inter_bytes_total") +
+               reg.counter("bstc_bcast_intra_bytes_total");
     }
     return bytes;
   };

@@ -12,15 +12,25 @@
 #include <thread>
 
 #include "net/net_transport.hpp"
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace bstc::net {
 namespace {
 
-/// A connected pair of rank-0 / rank-1 transports over an OS socket pair.
+/// A transport counting into `reg`, as a worker rank's does.
+std::unique_ptr<NetTransport> rank_transport(obs::Registry& reg, int nodes,
+                                             int rank,
+                                             std::vector<PeerLink> links) {
+  obs::ScopedRegistry bind(reg);
+  return std::make_unique<NetTransport>(nodes, rank, std::move(links));
+}
+
+/// A connected pair of rank-0 / rank-1 transports over an OS socket pair,
+/// each with its own registry.
 struct LoopbackPair {
-  WireCounters counters0, counters1;
+  obs::Registry reg0, reg1;
   std::unique_ptr<NetTransport> t0, t1;
 
   LoopbackPair() {
@@ -30,10 +40,10 @@ struct LoopbackPair {
     }
     std::vector<PeerLink> l0;
     l0.push_back(PeerLink{1, Socket(fds[0])});
-    t0 = std::make_unique<NetTransport>(2, 0, std::move(l0), &counters0);
+    t0 = rank_transport(reg0, 2, 0, std::move(l0));
     std::vector<PeerLink> l1;
     l1.push_back(PeerLink{0, Socket(fds[1])});
-    t1 = std::make_unique<NetTransport>(2, 1, std::move(l1), &counters1);
+    t1 = rank_transport(reg1, 2, 1, std::move(l1));
   }
 };
 
@@ -54,19 +64,20 @@ TEST(NetTransport, RemoteSendDeliversBitwise) {
                    static_cast<double>(original.bytes()));
   // The tx progress thread bumps its counter only after the kernel accepts
   // the bytes, so the receiver can observe delivery first; poll briefly.
-  for (int i = 0; i < 2000 && pair.counters0.snapshot().frames_sent == 0;
+  for (int i = 0;
+       i < 2000 && pair.reg0.counter("bstc_wire_frames_sent_total") == 0;
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(pair.counters0.snapshot().frames_sent, 1u);
-  EXPECT_GE(pair.counters1.snapshot().frames_received, 1u);
+  EXPECT_GE(pair.reg0.counter("bstc_wire_frames_sent_total"), 1u);
+  EXPECT_GE(pair.reg1.counter("bstc_wire_frames_received_total"), 1u);
 }
 
 TEST(NetTransport, LocalSendNeverTouchesTheWire) {
   LoopbackPair pair;
   pair.t0->send(0, 0, 7, Tile(2, 2));
   EXPECT_TRUE(pair.t0->mailbox(0).contains(7));
-  EXPECT_EQ(pair.counters0.snapshot().frames_sent, 0u);
+  EXPECT_EQ(pair.reg0.counter("bstc_wire_frames_sent_total"), 0u);
   // A rank may only originate its own messages.
   EXPECT_THROW(pair.t0->send(1, 0, 8, Tile(1, 1)), Error);
 }
@@ -122,7 +133,7 @@ TEST(NetTransport, BarrierSynchronizesBothRanks) {
 /// where one peer's epoch-N+1 token can land in the parked queue before
 /// another peer's epoch-N token.
 struct LoopbackTrio {
-  WireCounters counters[3];
+  obs::Registry reg[3];
   std::unique_ptr<NetTransport> t[3];
 
   LoopbackTrio() {
@@ -135,15 +146,15 @@ struct LoopbackTrio {
     std::vector<PeerLink> l0;
     l0.push_back(PeerLink{1, Socket(p01[0])});
     l0.push_back(PeerLink{2, Socket(p02[0])});
-    t[0] = std::make_unique<NetTransport>(3, 0, std::move(l0), &counters[0]);
+    t[0] = rank_transport(reg[0], 3, 0, std::move(l0));
     std::vector<PeerLink> l1;
     l1.push_back(PeerLink{0, Socket(p01[1])});
     l1.push_back(PeerLink{2, Socket(p12[0])});
-    t[1] = std::make_unique<NetTransport>(3, 1, std::move(l1), &counters[1]);
+    t[1] = rank_transport(reg[1], 3, 1, std::move(l1));
     std::vector<PeerLink> l2;
     l2.push_back(PeerLink{0, Socket(p02[1])});
     l2.push_back(PeerLink{1, Socket(p12[1])});
-    t[2] = std::make_unique<NetTransport>(3, 2, std::move(l2), &counters[2]);
+    t[2] = rank_transport(reg[2], 3, 2, std::move(l2));
   }
 };
 
@@ -191,13 +202,13 @@ TEST(NetTransport, ConnectRetryAbsorbsResolutionFailures) {
   // Resolution used to happen once, outside the retry loop, so a
   // transient resolver failure aborted the rank immediately instead of
   // being retried with backoff like a refused connect.
-  WireCounters counters;
+  obs::Registry reg;
+  obs::ScopedRegistry bind(reg);
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.initial_backoff_ms = 1;
-  EXPECT_THROW(connect_with_retry("host.invalid", 1, policy, &counters),
-               Error);
-  EXPECT_GE(counters.snapshot().connect_retries, 1u);
+  EXPECT_THROW(connect_with_retry("host.invalid", 1, policy), Error);
+  EXPECT_GE(reg.counter("bstc_wire_connect_retries_total"), 1u);
 }
 
 TEST(NetTransport, PeerDeathPoisonsWaitersAndSends) {
@@ -205,7 +216,7 @@ TEST(NetTransport, PeerDeathPoisonsWaitersAndSends) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<PeerLink> links;
   links.push_back(PeerLink{1, Socket(fds[0])});
-  NetTransport t0(2, 0, std::move(links), nullptr);
+  NetTransport t0(2, 0, std::move(links));
   ::close(fds[1]);  // the peer dies without an orderly shutdown
 
   // A stalled consumer aborts with an Error instead of hanging forever.

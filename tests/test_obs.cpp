@@ -1,10 +1,10 @@
-/// Tests for the observability registry (src/obs): enable gating,
-/// scoped spans, counters/gauges/histograms with their Prometheus text
-/// exposition, thread lanes, and the per-rank trace merger's clock
-/// alignment and normalization.
+/// Tests for the observability registry (src/obs): thread binding,
+/// enable gating, scoped spans, counters/gauges/histograms with their
+/// Prometheus text exposition, thread lanes, and the per-rank trace
+/// merger's clock alignment and normalization.
 ///
-/// The registry is process-global, so every test that enables it cleans
-/// up with clear() + set_enabled(false).
+/// Each test that records binds a fresh registry of its own
+/// (ScopedRegistry), so nothing leaks between tests.
 
 #include <gtest/gtest.h>
 
@@ -18,17 +18,35 @@
 namespace bstc::obs {
 namespace {
 
-struct RegistryGuard {
-  ~RegistryGuard() {
-    Registry::instance().clear();
-    Registry::instance().set_enabled(false);
-  }
+/// A fresh registry bound to the calling thread for one test.
+struct FreshRegistry {
+  Registry reg;
+  ScopedRegistry bind{reg};
 };
 
+TEST(Obs, CurrentIsTheBoundRegistryOrTheProcessInstance) {
+  EXPECT_EQ(&Registry::current(), &Registry::instance());
+  Registry outer, inner;
+  {
+    ScopedRegistry bind_outer(outer);
+    EXPECT_EQ(&Registry::current(), &outer);
+    {
+      ScopedRegistry bind_inner(inner);
+      EXPECT_EQ(&Registry::current(), &inner);
+    }
+    EXPECT_EQ(&Registry::current(), &outer);
+    // A binding is per thread: a new thread starts unbound.
+    Registry* seen = nullptr;
+    std::thread t([&] { seen = &Registry::current(); });
+    t.join();
+    EXPECT_EQ(seen, &Registry::instance());
+  }
+  EXPECT_EQ(&Registry::current(), &Registry::instance());
+}
+
 TEST(Obs, RecordIsANoOpWhileDisabled) {
-  RegistryGuard guard;
-  Registry& reg = Registry::instance();
-  reg.clear();
+  FreshRegistry fresh;
+  Registry& reg = fresh.reg;
   ASSERT_FALSE(reg.enabled());
   reg.record(Category::kTask, "ignored", 0, 0.0, 1.0);
   { ScopedSpan span(Category::kTask, "also ignored"); }
@@ -36,9 +54,8 @@ TEST(Obs, RecordIsANoOpWhileDisabled) {
 }
 
 TEST(Obs, ScopedSpanRecordsIntervalOnTheThreadLane) {
-  RegistryGuard guard;
-  Registry& reg = Registry::instance();
-  reg.clear();
+  FreshRegistry fresh;
+  Registry& reg = fresh.reg;
   reg.set_enabled(true);
   {
     ScopedSpan span(Category::kCommTx, "tx(test)", 128);
@@ -52,21 +69,25 @@ TEST(Obs, ScopedSpanRecordsIntervalOnTheThreadLane) {
   EXPECT_GE(spans[0].end_s, spans[0].start_s);
 }
 
-TEST(Obs, RecordWithRunsTheCallbackEvenWhileDisabled) {
-  RegistryGuard guard;
-  Registry& reg = Registry::instance();
-  reg.clear();
+TEST(Obs, RecordCountedCountsEvenWhileDisabled) {
+  Registry reg;
   ASSERT_FALSE(reg.enabled());
   // The counter side of a comm instrumentation point must never be
   // gated on tracing: counters are always on, spans are opt-in.
-  bool ran = false;
-  reg.record_with(Category::kCommTx, "tx", 0, 0.0, 1.0, 64,
-                  [&] { ran = true; });
-  EXPECT_TRUE(ran);
+  reg.record_counted(Category::kCommTx, "tx", 0, 0.0, 1.0, 64,
+                     {{"bstc_test_frames_total", 1},
+                      {"bstc_test_bytes_total", 64}});
+  EXPECT_EQ(reg.counter("bstc_test_frames_total"), 1u);
+  EXPECT_EQ(reg.counter("bstc_test_bytes_total"), 64u);
   EXPECT_TRUE(reg.spans().empty());
   reg.set_enabled(true);
-  reg.record_with(Category::kCommTx, "tx", 0, 0.0, 1.0, 64, [] {});
-  EXPECT_EQ(reg.spans().size(), 1u);
+  reg.record_counted(Category::kCommTx, "tx", 0, 0.0, 1.0, 64,
+                     {{"bstc_test_bytes_total", 64}});
+  // Span and counts land in one snapshot together.
+  const Registry::Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_EQ(snap.spans[0].bytes, 64u);
+  EXPECT_EQ(snap.counters.at("bstc_test_bytes_total"), 128u);
 }
 
 TEST(Obs, ThreadLanesAreStableAndDistinct) {
@@ -80,14 +101,14 @@ TEST(Obs, ThreadLanesAreStableAndDistinct) {
 }
 
 TEST(Obs, PrometheusTextExposesCountersGaugesAndHistograms) {
-  RegistryGuard guard;
-  Registry& reg = Registry::instance();
-  reg.clear();
+  Registry reg;
   reg.counter_add("bstc_test_events_total", 3);
   reg.gauge_set("bstc_test_depth", 7);
-  // 2 bins over [0, 1): samples 0.1 (bin 0) and 0.9 (bin 1).
+  // 2 bins over [0, 1]: samples 0.1 (bin 0) and 0.9 (bin 1), and 2.5
+  // above the range — in +Inf and _count only, in no finite bucket.
   reg.observe("bstc_test_latency_seconds", 0.1, 0.0, 1.0, 2);
   reg.observe("bstc_test_latency_seconds", 0.9, 0.0, 1.0, 2);
+  reg.observe("bstc_test_latency_seconds", 2.5, 0.0, 1.0, 2);
 
   const std::string text = prometheus_text(reg);
   EXPECT_NE(text.find("bstc_test_events_total 3\n"), std::string::npos);
@@ -97,11 +118,11 @@ TEST(Obs, PrometheusTextExposesCountersGaugesAndHistograms) {
       std::string::npos);
   EXPECT_NE(text.find("bstc_test_latency_seconds_bucket{le=\"1\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("bstc_test_latency_seconds_bucket{le=\"+Inf\"} 2\n"),
+  EXPECT_NE(text.find("bstc_test_latency_seconds_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("bstc_test_latency_seconds_sum 1\n"),
+  EXPECT_NE(text.find("bstc_test_latency_seconds_sum 3.5\n"),
             std::string::npos);
-  EXPECT_NE(text.find("bstc_test_latency_seconds_count 2\n"),
+  EXPECT_NE(text.find("bstc_test_latency_seconds_count 3\n"),
             std::string::npos);
   // Span volume appears only when tracing is on.
   EXPECT_EQ(text.find("bstc_obs_spans_total"), std::string::npos);
@@ -110,6 +131,25 @@ TEST(Obs, PrometheusTextExposesCountersGaugesAndHistograms) {
   const std::string traced = prometheus_text(reg);
   EXPECT_NE(traced.find("bstc_obs_spans_total{category=\"task\"} 1\n"),
             std::string::npos);
+}
+
+TEST(Obs, RankSectionLabelsEveryLine) {
+  Registry reg;
+  reg.counter_add("bstc_test_declared_total", 0);  // declared, exposed at 0
+  reg.gauge_set("bstc_test_depth", 7);
+  reg.observe("bstc_test_latency_seconds", 0.1, 0.0, 1.0, 2);
+  reg.set_enabled(true);
+  reg.record(Category::kTask, "t", 0, 0.0, 1.0);
+
+  const std::string text = prometheus_text(reg, 2);
+  for (const char* line :
+       {"bstc_test_declared_total{rank=\"2\"} 0\n",
+        "bstc_test_depth{rank=\"2\"} 7\n",
+        "bstc_test_latency_seconds_bucket{rank=\"2\",le=\"0.5\"} 1\n",
+        "bstc_test_latency_seconds_count{rank=\"2\"} 1\n",
+        "bstc_obs_spans_total{rank=\"2\",category=\"task\"} 1\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+  }
 }
 
 TEST(Obs, MergeAlignsClocksSortsAndNormalizes) {

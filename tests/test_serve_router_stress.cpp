@@ -107,9 +107,9 @@ TEST(ServeRouterStress, MixedFingerprintStormConservesRequests) {
     const std::vector<ServeRankMetrics> ranks = router.gather_metrics();
     std::uint64_t completed = 0, misses = 0, submitted = 0;
     for (const ServeRankMetrics& r : ranks) {
-      completed += r.completed;
-      misses += r.plan_misses;
-      submitted += r.submitted;
+      completed += r.metric("bstc_service_completed_total");
+      misses += r.metric("bstc_plan_cache_misses_total");
+      submitted += r.metric("bstc_service_submitted_total");
     }
     EXPECT_EQ(completed, static_cast<std::uint64_t>(ok.load()));
     EXPECT_EQ(submitted, static_cast<std::uint64_t>(ok.load()));
@@ -199,8 +199,8 @@ TEST(ServeRouterStress, ConcurrentSessionsAndContractsInterleave) {
 
     std::uint64_t sessions_opened = 0, sessions_closed = 0;
     for (const ServeRankMetrics& r : router.gather_metrics()) {
-      sessions_opened += r.sessions_opened;
-      sessions_closed += r.sessions_closed;
+      sessions_opened += r.metric("bstc_sessions_opened_total");
+      sessions_closed += r.metric("bstc_sessions_closed_total");
     }
     EXPECT_EQ(sessions_opened, 2u);
     EXPECT_EQ(sessions_closed, 2u);

@@ -2,8 +2,9 @@
 /// obs span on its queue lane, and the engine's traced run yields one
 /// task span per executed task.
 ///
-/// The registry is process-global, so every test that enables it cleans
-/// up with clear() + set_enabled(false).
+/// Each test records into a fresh registry bound to its thread
+/// (run_graph re-binds it on the queue threads), so nothing leaks
+/// between tests.
 
 #include <gtest/gtest.h>
 
@@ -16,20 +17,16 @@
 namespace bstc {
 namespace {
 
+/// A fresh registry with tracing on, bound to the calling thread.
 struct TracingOn {
-  TracingOn() {
-    obs::Registry::instance().clear();
-    obs::Registry::instance().set_enabled(true);
-  }
-  ~TracingOn() {
-    obs::Registry::instance().clear();
-    obs::Registry::instance().set_enabled(false);
-  }
+  obs::Registry reg;
+  obs::ScopedRegistry bind{reg};
+  TracingOn() { reg.set_enabled(true); }
 };
 
 std::vector<obs::Span> task_spans() {
   std::vector<obs::Span> out;
-  for (obs::Span& s : obs::Registry::instance().spans()) {
+  for (obs::Span& s : obs::Registry::current().spans()) {
     if (s.category == obs::Category::kTask && s.lane < obs::kThreadLaneBase) {
       out.push_back(std::move(s));
     }
@@ -61,18 +58,19 @@ TEST(Trace, SchedulerRecordsEveryTask) {
     EXPECT_LE(first->start_s, first->end_s);
     EXPECT_LE(second->start_s, second->end_s);
     EXPECT_LE(first->end_s, second->start_s);
-    const auto lanes = obs::Registry::instance().lane_names();
+    const auto lanes = obs::Registry::current().lane_names();
     EXPECT_EQ(lanes.at(0), "queue 0");
     EXPECT_EQ(lanes.at(1), "queue 1");
   }
 
   // With the registry disabled the scheduler records nothing.
-  obs::Registry::instance().clear();
+  obs::Registry untraced;
+  obs::ScopedRegistry bind(untraced);
   TaskGraph graph;
   graph.add_task("untraced", 0, [] {});
   run_graph(graph, 1);
-  EXPECT_TRUE(obs::Registry::instance().spans().empty());
-  EXPECT_TRUE(obs::Registry::instance().lane_names().empty());
+  EXPECT_TRUE(obs::Registry::current().spans().empty());
+  EXPECT_TRUE(obs::Registry::current().lane_names().empty());
 }
 
 TEST(Trace, EngineRecordsOneTaskSpanPerExecutedTask) {

@@ -3,7 +3,7 @@
 /// rank's spans into one Chrome/Perfetto JSON, and the parent asserts
 /// the merged file's structure — one process lane per rank, monotone
 /// normalized timestamps, and per-rank comm span bytes that equal the
-/// embedded WireCounters totals exactly (the snapshot and the span log
+/// embedded wire counter totals exactly (each frame's span and counts
 /// commit under one registry lock, so the equality is exact even with
 /// frames in flight at snapshot time).
 ///

@@ -49,7 +49,6 @@
 #include "chem/molecule.hpp"
 #include "chem/orbitals.hpp"
 #include "core/engine.hpp"
-#include "net/counters.hpp"
 #include "net/launch.hpp"
 #include "net/serve.hpp"
 #include "obs/obs.hpp"
@@ -144,7 +143,9 @@ const CommandInfo kCommands[] = {
      "                       BSTC_BCAST env var, else auto)\n"
      "  --shm-bcast          serve co-located ranks via shared-memory\n"
      "                       staging rings instead of loopback sockets\n"
-     "  --metrics-out F      write per-rank bstc_bcast_* Prometheus lines\n"
+     "  --metrics-out F      write every rank's registry as rank-labelled\n"
+     "                       Prometheus lines (bstc_bcast_*, bstc_wire_*,\n"
+     "                       engine counters)\n"
      "  Forks --np workers of this binary, runs the 2D-grid contraction\n"
      "  over TCP, verifies C bitwise against a single-process run, and\n"
      "  checks measured wire bytes against the plan statistics exactly\n"
@@ -465,18 +466,8 @@ int cmd_plan(const Args& args) {
 /// Single-process trace: this process is the only "rank" in the merged
 /// JSON, with its wire totals (zero unless a transport ran) attached.
 void write_local_trace(const std::string& path) {
-  obs::Registry& reg = obs::Registry::instance();
-  obs::RankTrace t;
-  t.rank = 0;
-  net::WireCounterSnapshot wc;
-  t.spans =
-      reg.spans_with([&] { wc = net::global_wire_counters().snapshot(); });
-  t.lane_names = reg.lane_names();
-  t.wire_frames_sent = wc.frames_sent;
-  t.wire_frames_received = wc.frames_received;
-  t.wire_bytes_sent = wc.bytes_sent;
-  t.wire_bytes_received = wc.bytes_received;
-  obs::write_merged_trace(path, {t});
+  obs::write_merged_trace(path,
+                          {obs::rank_trace(obs::Registry::instance(), 0)});
   std::printf("trace          %s\n", path.c_str());
 }
 
@@ -509,11 +500,8 @@ int cmd_execute(const Args& args) {
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 1);
   const BlockSparseMatrix a = BlockSparseMatrix::random(p.a, rng);
   const TileGenerator b_gen = random_tile_generator(p.b, 1234);
-  obs::Registry& reg = obs::Registry::instance();
-  const auto counter = [&reg](const char* name) {
-    const auto all = reg.counters();
-    const auto it = all.find(name);
-    return it == all.end() ? 0.0 : static_cast<double>(it->second);
+  const auto counter = [](const char* name) {
+    return static_cast<double>(obs::Registry::instance().counter(name));
   };
   const EngineResult result = contract_with_plan(
       plan, a, p.b, b_gen, p.c, nullptr, machine, cfg);
@@ -1169,7 +1157,7 @@ int cmd_serve_batch(const Args& args) {
     if (!metrics_out.empty()) {
       std::ofstream out(metrics_out);
       BSTC_REQUIRE(out.good(), "cannot open " + metrics_out);
-      out << metrics_prometheus(m);
+      out << metrics_prometheus(m, local.service().registry());
       BSTC_REQUIRE(out.good(), "failed writing " + metrics_out);
       std::printf("metrics        %s\n", metrics_out.c_str());
     }
@@ -1240,11 +1228,15 @@ int cmd_serve_batch(const Args& args) {
     TextTable rank_table({"rank", "submitted", "completed", "failed",
                           "plan hits", "plan misses", "sessions", "iters"});
     for (const net::ServeRankMetrics& r : per_rank) {
-      rank_table.add_row(
-          {std::to_string(r.rank), std::to_string(r.submitted),
-           std::to_string(r.completed), std::to_string(r.failed),
-           std::to_string(r.plan_hits), std::to_string(r.plan_misses),
-           std::to_string(r.sessions_opened), std::to_string(r.iterations)});
+      std::vector<std::string> row = {std::to_string(r.rank)};
+      for (const char* name :
+           {"bstc_service_submitted_total", "bstc_service_completed_total",
+            "bstc_service_failed_total", "bstc_plan_cache_hits_total",
+            "bstc_plan_cache_misses_total", "bstc_sessions_opened_total",
+            "bstc_session_iterations_total"}) {
+        row.push_back(std::to_string(r.metric(name)));
+      }
+      rank_table.add_row(row);
     }
     std::printf("%s\n", rank_table.render().c_str());
     const net::ServeRouterStats rs = router.stats();
@@ -1418,7 +1410,7 @@ int cmd_program_run(const Args& args) {
     if (!metrics_out.empty()) {
       std::ofstream out(metrics_out);
       BSTC_REQUIRE(out.good(), "cannot open " + metrics_out);
-      out << metrics_prometheus(local_metrics);
+      out << metrics_prometheus(local_metrics, obs::Registry::instance());
       BSTC_REQUIRE(out.good(), "failed writing " + metrics_out);
       std::printf("metrics        %s\n", metrics_out.c_str());
     }
@@ -1504,14 +1496,16 @@ int cmd_program_run(const Args& args) {
   TextTable rank_table({"rank", "programs", "nodes", "built", "reuse",
                         "released", "sessions", "plan misses"});
   for (const net::ServeRankMetrics& r : per_rank) {
-    rank_table.add_row({std::to_string(r.rank),
-                        std::to_string(r.expr_programs),
-                        std::to_string(r.expr_nodes),
-                        std::to_string(r.expr_intermediates_built),
-                        std::to_string(r.expr_intermediate_reuse),
-                        std::to_string(r.expr_intermediates_released),
-                        std::to_string(r.sessions_opened),
-                        std::to_string(r.plan_misses)});
+    std::vector<std::string> row = {std::to_string(r.rank)};
+    for (const char* name :
+         {"bstc_expr_programs_total", "bstc_expr_nodes_total",
+          "bstc_expr_intermediates_built_total",
+          "bstc_expr_intermediate_reuse_total",
+          "bstc_expr_intermediates_released_total",
+          "bstc_sessions_opened_total", "bstc_plan_cache_misses_total"}) {
+      row.push_back(std::to_string(r.metric(name)));
+    }
+    rank_table.add_row(row);
   }
   std::printf("%s\n", rank_table.render().c_str());
 
